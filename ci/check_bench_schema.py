@@ -28,39 +28,24 @@ MEASUREMENT_KEYS = {
 # rep's QueryProfile (rexa-obs).
 PROFILE_KEYS = {
     "probe_busy_secs": float,
-    "sort_busy_secs": float,
     "merge_busy_secs": float,
     "finalize_busy_secs": float,
     "ht_resets": int,
     "partitions": int,
     "partitions_external": int,
-    "sorted_runs": int,
-    "merge_fanin": int,
     "spill_bytes_written": int,
     "spill_bytes_read": int,
     "evictions": int,
     "readahead_hits": int,
     "readahead_misses": int,
     "io_overlap_secs": float,
-    # Phase-1 strategy the run settled on: "thread_local", "shared",
-    # "instream", or an "adaptive:"-prefixed form recording the runtime
-    # decision.
+    # Phase-1 path the run took: "thread_local" or "instream".
     "strategy": str,
-    # Per-partition phase-2 routing (one entry per merged partition).
-    "partition_strategies": list,
     # Per-worker phase-1 attribution (one entry per worker thread).
     "workers": list,
 }
 
-# One entry of profile.partition_strategies: what the per-partition phase-2
-# chooser decided and the sorted-run shape it saw.
-PARTITION_STRATEGY_KEYS = {
-    "partition": int,
-    "strategy": str,
-    "sorted_runs": int,
-    "merge_fanin": int,
-}
-PARTITION_STRATEGIES = {"hash", "sorted_merge"}
+STRATEGIES = {"thread_local", "instream"}
 
 # One entry of profile.workers: where phase-1 time and work actually went.
 WORKER_KEYS = {
@@ -74,9 +59,8 @@ WORKER_KEYS = {
 # Each workload carries two measurement modes and a scale-free ratio
 # between them: the kernel-comparison workloads compare scalar vs
 # vectorized, "sorted"/"clustered" compare a forced hash phase 1 against
-# the in-stream fast path (forced / detected), "external" compares sync vs
-# async I/O scheduling, and "external_sorted" compares the forced hash
-# phase 2 against the sorted-run merge.
+# the in-stream fast path (forced / detected), and "external" compares sync
+# vs async I/O scheduling.
 EXPECTED_WORKLOADS = {
     "thin_int": (("scalar", "vectorized"), "phase1_speedup"),
     "wide_multi_key": (("scalar", "vectorized"), "phase1_speedup"),
@@ -84,14 +68,12 @@ EXPECTED_WORKLOADS = {
     "sorted": (("hash", "instream"), "instream_speedup"),
     "clustered": (("hash", "detect"), "detect_speedup"),
     "external": (("sync", "async"), "io_speedup"),
-    "external_sorted": (("hash", "sorted_merge"), "merge_speedup"),
 }
 
 # The threads_sweep section (optional: present when the baseline was
-# produced with --threads-sweep) carries these workloads, in order; thin_int
-# points measure the adaptive default, low_card points compare adaptive
-# against forced thread-local.
-SWEEP_MODES = {"thin_int": ("vectorized",), "low_card": ("adaptive", "thread_local")}
+# produced with --threads-sweep) carries these workloads, in order, each
+# measured with the vectorized kernels at every swept thread count.
+SWEEP_WORKLOADS = ["thin_int", "low_card"]
 
 
 def fail(msg):
@@ -132,13 +114,9 @@ def check_measurement(m, where):
         check_keys(w, WORKER_KEYS, f"{where}.profile.workers[{i}]")
     if [w["worker"] for w in workers] != list(range(len(workers))):
         fail(f"{where}.profile.workers: indices not dense 0..{len(workers) - 1}")
-    for i, p in enumerate(m["profile"]["partition_strategies"]):
-        pw = f"{where}.profile.partition_strategies[{i}]"
-        check_keys(p, PARTITION_STRATEGY_KEYS, pw)
-        if p["strategy"] not in PARTITION_STRATEGIES:
-            fail(f"{pw}.strategy: unknown strategy {p['strategy']!r}")
-        if p["strategy"] == "sorted_merge" and p["merge_fanin"] == 0:
-            fail(f"{pw}: sorted_merge with zero merge_fanin")
+    strategy = m["profile"]["strategy"]
+    if strategy not in STRATEGIES:
+        fail(f"{where}.profile.strategy: unknown strategy {strategy!r}")
 
 
 def check_threads_sweep(sweep):
@@ -147,11 +125,10 @@ def check_threads_sweep(sweep):
     if not counts or any(not isinstance(t, int) or t <= 0 for t in counts):
         fail(f"threads_sweep.threads: expected positive integers, got {counts!r}")
     names = [w.get("workload") for w in sweep["workloads"]]
-    if names != list(SWEEP_MODES):
-        fail(f"threads_sweep.workloads: expected {list(SWEEP_MODES)}, got {names}")
+    if names != SWEEP_WORKLOADS:
+        fail(f"threads_sweep.workloads: expected {SWEEP_WORKLOADS}, got {names}")
     for w in sweep["workloads"]:
         name = w["workload"]
-        modes = SWEEP_MODES[name]
         for key in ("rows", "groups"):
             if not isinstance(w.get(key), int) or w[key] <= 0:
                 fail(f"threads_sweep.{name}.{key}: expected positive integer")
@@ -163,16 +140,9 @@ def check_threads_sweep(sweep):
         for p in points:
             t = p["threads"]
             where = f"threads_sweep.{name}@t{t}"
-            for mode in modes:
-                if mode not in p:
-                    fail(f"{where}: missing {mode!r} measurement")
-                check_measurement(p[mode], f"{where}.{mode}")
-            if name == "low_card":
-                speedup = p.get("adaptive_speedup")
-                if not isinstance(speedup, (int, float)) or speedup < 0:
-                    fail(f"{where}.adaptive_speedup: expected non-negative number")
-                if p["adaptive"]["groups"] != p["thread_local"]["groups"]:
-                    fail(f"{where}: strategies disagree on group count")
+            if "vectorized" not in p:
+                fail(f"{where}: missing 'vectorized' measurement")
+            check_measurement(p["vectorized"], f"{where}.vectorized")
 
 
 def main():

@@ -15,8 +15,8 @@ Usage: check_trace_json.py <path-to-trace.json> [--no-overlap]
 `--no-overlap` skips the I/O-overlap requirement for runs that are not
 expected to spill. `--require-span NAME` (repeatable) fails unless at
 least one duration or async span with that exact name is present — CI uses
-it to pin the hybrid hash/sort path's `run_sort` and `sorted_merge` spans
-into the traced run.
+it to pin the operator's phase-1 `probe` and phase-2 `merge` spans into the
+traced run.
 """
 
 import json
@@ -167,8 +167,8 @@ def main():
         if overlap == 0:
             fail("no async io span overlaps a compute span on another track")
 
-    # Required spans: the caller pins specific code paths (e.g. the hybrid
-    # hash/sort path's run_sort / sorted_merge) into the traced run.
+    # Required spans: the caller pins specific code paths (e.g. the
+    # operator's probe / merge) into the traced run.
     span_names = {e["name"] for e in events if e["ph"] in ("X", "b")}
     for name in required_spans:
         if name not in span_names:

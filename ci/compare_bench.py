@@ -40,7 +40,6 @@ MODES = {
     "sorted": ("hash", "instream"),
     "clustered": ("hash", "detect"),
     "external": ("sync", "async"),
-    "external_sorted": ("hash", "sorted_merge"),
 }
 RATIO_KEYS = {
     "thin_int": "phase1_speedup",
@@ -49,7 +48,6 @@ RATIO_KEYS = {
     "sorted": "instream_speedup",
     "clustered": "detect_speedup",
     "external": "io_speedup",
-    "external_sorted": "merge_speedup",
 }
 
 

@@ -75,13 +75,15 @@ pub struct BufferManagerConfig {
 
 impl BufferManagerConfig {
     /// A config with the given limit, default page size and policy, spilling
-    /// into a fresh process-unique scratch directory.
+    /// into a fresh process-unique scratch directory. The directory is only
+    /// named here; [`BufferManager::new`] creates it, so a config whose
+    /// `temp_dir` is overridden leaves nothing under the system temp dir.
     pub fn with_limit(memory_limit: usize) -> Self {
         BufferManagerConfig {
             memory_limit,
             page_size: DEFAULT_PAGE_SIZE,
             policy: EvictionPolicy::Mixed,
-            temp_dir: rexa_storage::scratch_dir("spill").expect("cannot create temp dir"),
+            temp_dir: rexa_storage::scratch_path("spill"),
             io_backend: Arc::new(StdIo),
             spill_retries: 3,
             spill_backoff: Duration::from_millis(1),
@@ -1452,6 +1454,43 @@ mod tests {
         let mut buf = vec![0u8; pin.len()];
         pin.read_at(0, &mut buf);
         assert!(buf.iter().all(|&b| b == byte), "page content mismatch");
+    }
+
+    #[test]
+    fn overridden_temp_dir_creates_nothing_outside_it() {
+        // with_limit only names its default spill directory; overriding
+        // temp_dir means that directory is never created.
+        let config = BufferManagerConfig::with_limit(4 * PAGE).page_size(PAGE);
+        let default_dir = config.temp_dir.clone();
+        assert!(!default_dir.exists(), "with_limit created {default_dir:?}");
+        let dir = scratch_dir("mgr-override").unwrap().join("spill");
+        let mgr = BufferManager::new(config.temp_dir(dir.clone())).unwrap();
+        let (_h, _p) = mgr.allocate_page().unwrap();
+        assert!(dir.is_dir(), "the manager creates its own temp dir");
+        assert!(!default_dir.exists(), "stray default dir {default_dir:?}");
+
+        // Without the override, the manager creates the default directory.
+        let config = BufferManagerConfig::with_limit(4 * PAGE).page_size(PAGE);
+        let default_dir = config.temp_dir.clone();
+        let mgr = BufferManager::new(config).unwrap();
+        assert!(default_dir.is_dir());
+        drop(mgr);
+        std::fs::remove_dir_all(&default_dir).unwrap();
+    }
+
+    #[test]
+    fn uncreatable_temp_dir_is_a_typed_error() {
+        // A temp dir beneath a regular file cannot be created: the manager
+        // reports the I/O error instead of panicking.
+        let file = scratch_dir("mgr-blocked").unwrap().join("not-a-dir");
+        std::fs::write(&file, b"x").unwrap();
+        let err = BufferManager::new(
+            BufferManagerConfig::with_limit(4 * PAGE)
+                .page_size(PAGE)
+                .temp_dir(file.join("spill")),
+        )
+        .unwrap_err();
+        assert!(matches!(err, rexa_exec::Error::Io(_)), "{err:?}");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::function::{
 };
 use crate::ht::{
     entry_ptr, is_pending, make_entry, make_pending, pending_ord, prefetch_read, salt_bits,
-    SaltedHashTable, SharedGroupIndex,
+    SaltedHashTable,
 };
 use crate::instream::InStreamAgg;
 use parking_lot::{Condvar, Mutex};
@@ -37,13 +37,12 @@ use rexa_exec::pool::ExecContext;
 use rexa_exec::vector::VectorData;
 use rexa_exec::{hashing, DataChunk, Error, LogicalType, Result, Vector, VECTOR_SIZE};
 use rexa_layout::matcher::{
-    adjacent_runs, key_prefix, prefix_is_exact, row_row_cmp, row_row_match, row_row_match_sel,
-    rows_match, rows_match_sel,
+    adjacent_runs, row_row_match, row_row_match_sel, rows_match, rows_match_sel,
 };
 use rexa_layout::{PartitionedTupleData, TupleDataCollection, TupleDataLayout};
 use rexa_obs::span::{self, cat as span_cat};
 use rexa_obs::{Phase, ProfileCollector, QueryProfile, SpanBuffer};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,48 +95,6 @@ pub enum SortedInput {
     Unsorted,
 }
 
-/// How phase 2 aggregates one partition — chosen *per partition* at
-/// runtime, recorded per partition in the profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Phase2Strategy {
-    /// Merge sorted runs when the partition went external and its rows are
-    /// fully covered by sorted runs; rebuild a hash table otherwise (an
-    /// in-memory partition gains nothing from merging, and a coverage gap
-    /// means some rows were never run-sorted).
-    #[default]
-    Adaptive,
-    /// Always rebuild a hash table over the partition (the paper's
-    /// phase 2).
-    Hash,
-    /// Sort every fragment's rows by key before its pins are released
-    /// (making the spill write-out a *sorted run*) and stream-merge the
-    /// runs in phase 2. Degrades to the hash path per partition when runs
-    /// are unavailable or a spill fault was observed mid-run.
-    SortedMerge,
-}
-
-/// How phase 1 organizes its hash table(s) across workers.
-///
-/// The paper's design is thread-local tables feeding radix partitions; the
-/// "Global Hash Tables Strike Back!" analysis shows that at low group counts
-/// one shared table wins, because per-worker duplication (and the merge work
-/// it creates) dominates once the working set is cache-resident. `Adaptive`
-/// samples the first morsels and picks per run.
-///
-/// The shared strategy is only ever active at `threads > 1` — single-thread
-/// runs always take the thread-local path, so the scalar/vectorized
-/// bit-identity contract of [`KernelMode`] is unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Phase1Strategy {
-    /// Decide at runtime from observed group density in the first morsels.
-    #[default]
-    Adaptive,
-    /// Always thread-local salted tables + radix partitions (the paper).
-    ThreadLocal,
-    /// Always one shared concurrent group index.
-    Shared,
-}
-
 /// Tuning knobs of the operator.
 #[derive(Debug, Clone)]
 pub struct AggregateConfig {
@@ -165,15 +122,10 @@ pub struct AggregateConfig {
     /// (`BufferManagerConfig::io_writers`); a synchronous manager ignores
     /// prefetch requests.
     pub readahead_depth: usize,
-    /// Phase-1 table organization (see [`Phase1Strategy`]). The decision a
-    /// run actually took is recorded in the profile's `strategy` field.
-    pub phase1_strategy: Phase1Strategy,
     /// Sorted-input handling for the in-stream fast path (see
-    /// [`SortedInput`]).
+    /// [`SortedInput`]). The phase-1 path a run actually took is recorded
+    /// in the profile's `strategy` field.
     pub sorted_input: SortedInput,
-    /// Phase-2 per-partition strategy (see [`Phase2Strategy`]); decisions
-    /// are recorded in the profile's per-partition strategy list.
-    pub phase2_strategy: Phase2Strategy,
 }
 
 impl Default for AggregateConfig {
@@ -188,9 +140,7 @@ impl Default for AggregateConfig {
             reset_fill_percent: 66,
             kernel_mode: KernelMode::Vectorized,
             readahead_depth: 2,
-            phase1_strategy: Phase1Strategy::Adaptive,
             sorted_input: SortedInput::Detect,
-            phase2_strategy: Phase2Strategy::Adaptive,
         }
     }
 }
@@ -340,24 +290,9 @@ fn input_rows_equal(cols: &[&Vector], a: usize, b: usize) -> bool {
     true
 }
 
-/// Adaptive-decision states (see [`Phase1Strategy`]).
-const DECIDE_PENDING: u8 = 0;
-const DECIDE_LOCAL: u8 = 1;
-const DECIDE_SHARED: u8 = 2;
-
-/// Rows one worker must observe before it may resolve the adaptive
-/// decision (a few probe chunks: enough to see the group density).
-const STRATEGY_SAMPLE_ROWS: usize = 4096;
-/// Adaptive: most distinct groups a sampling worker may have seen for the
-/// shared strategy to be worthwhile.
-const SHARED_CARD_MAX: usize = 4096;
-/// Adaptive: minimum observed rows-per-group density for the shared
-/// strategy (sparser than this and the input may just be short).
-const SHARED_DENSITY_MIN: usize = 8;
-/// Adaptive: shared-index headroom multiplier over the sampled group count
-/// (a mild underestimate must not immediately overflow; a large one
-/// overflows and falls back, which is safe — overflow rows merge by key).
-const SHARED_HEADROOM: usize = 4;
+/// Rows one worker samples for the [`SortedInput::Detect`] sortedness
+/// detector (a few probe chunks: enough to see the key-run density).
+const DETECT_SAMPLE_ROWS: usize = 4096;
 /// [`SortedInput::Detect`]: minimum average run length (sampled rows per
 /// adjacent-equal-key run) for a worker to switch to the in-stream path.
 /// Below this, per-run materialization appends too many partial groups —
@@ -366,17 +301,6 @@ const SHARED_HEADROOM: usize = 4;
 /// keys sits near run length 13 (`agg_hotpath`'s `clustered` workload), so
 /// the detector demands clear headroom before abandoning the hash table.
 pub const IN_STREAM_RUN_MIN: usize = 16;
-
-/// Phase-1 state of the shared ("global table") strategy.
-struct SharedPhase1 {
-    /// The concurrent group index: lock-free probes, serialized inserts.
-    index: SharedGroupIndex,
-    /// Canonical key rows, radix-partitioned like every other fragment.
-    /// The mutex doubles as the index's insert lock. Pages stay pinned —
-    /// workers key-compare against them lock-free — until the last worker
-    /// to finish probing absorbs the set into its own fragments.
-    canon: Mutex<PartitionedTupleData>,
-}
 
 /// Shared sink state for phase 1.
 struct AggSink<'a> {
@@ -387,22 +311,11 @@ struct AggSink<'a> {
     radix_bits: u32,
     rows_in: AtomicUsize,
     resets: AtomicU64,
-    /// The phase-1 strategy this run resolved to (`DECIDE_*`).
-    decision: AtomicU8,
-    /// Installed shared-strategy state; `Some` exactly when the decision is
-    /// [`DECIDE_SHARED`]. Doubles as the decision lock.
-    shared_p1: Mutex<Option<Arc<SharedPhase1>>>,
 }
 
 impl AggSink<'_> {
     /// Create the thread-local state for one worker.
     fn local(&self) -> Result<LocalAgg<'_>> {
-        // A forced SortedMerge sorts run tails regardless of the phase-1
-        // path; Adaptive only pays for run-sorting once the in-stream path
-        // engages (sorted input is what makes runs long and cheap). String
-        // layouts never run-sort — permuting rows would break heap
-        // pointers.
-        let heapless = self.plan.layout.var_cols().is_empty();
         let mut local = LocalAgg {
             sink: self,
             ht: SaltedHashTable::with_capacity_ctx(self.mgr, self.config.ht_capacity, self.ctx)?,
@@ -412,13 +325,9 @@ impl AggSink<'_> {
             new_sel: Vec::new(),
             pending_slots: Vec::new(),
             scratch: ProbeScratch::default(),
-            shared_mode: None,
             instream: None,
             detect_rows: 0,
             detect_runs: 0,
-            run_sort: heapless && self.config.phase2_strategy == Phase2Strategy::SortedMerge,
-            sort_busy: Duration::ZERO,
-            runs_sealed: 0,
             rows_in: 0,
             resets: 0,
         };
@@ -426,57 +335,6 @@ impl AggSink<'_> {
             local.enable_instream();
         }
         Ok(local)
-    }
-
-    /// Install the shared-strategy state (index + canonical partition set)
-    /// and publish the decision. No-op if a decision was already made.
-    fn install_shared(&self, max_groups: usize) -> Result<()> {
-        let mut slot = self.shared_p1.lock();
-        if self.decision.load(Ordering::Acquire) != DECIDE_PENDING {
-            return Ok(());
-        }
-        let index = SharedGroupIndex::with_capacity_ctx(self.mgr, max_groups, self.ctx)?;
-        let canon = PartitionedTupleData::new(self.mgr, &self.plan.layout, self.radix_bits);
-        *slot = Some(Arc::new(SharedPhase1 {
-            index,
-            canon: Mutex::new(canon),
-        }));
-        self.decision.store(DECIDE_SHARED, Ordering::Release);
-        if let Some(p) = self.ctx.profile() {
-            p.set_strategy("shared");
-        }
-        Ok(())
-    }
-
-    /// Publish a thread-local decision (forced, single-threaded, or the
-    /// adaptive outcome). No-op if a decision was already made.
-    fn settle_local(&self) {
-        let _slot = self.shared_p1.lock();
-        if self.decision.load(Ordering::Acquire) == DECIDE_PENDING {
-            self.decision.store(DECIDE_LOCAL, Ordering::Release);
-            if let Some(p) = self.ctx.profile() {
-                p.set_strategy("thread_local");
-            }
-        }
-    }
-
-    /// Resolve the adaptive decision from one worker's sample; the first
-    /// decider wins. The index is sized from the *observed* cardinality
-    /// (with headroom), not a fixed worst case — under a tight memory
-    /// limit a constant-size index would starve the other workers. A
-    /// shared verdict falls back to thread-local when the index cannot be
-    /// allocated (memory pressure is exactly when the extra allocation is
-    /// wrong anyway).
-    fn decide(&self, want_shared: bool, groups_seen: usize) -> u8 {
-        let cur = self.decision.load(Ordering::Acquire);
-        if cur != DECIDE_PENDING {
-            return cur;
-        }
-        let max_groups = (groups_seen * SHARED_HEADROOM).max(1024);
-        if !want_shared || self.install_shared(max_groups).is_err() {
-            self.settle_local();
-        }
-        self.decision.load(Ordering::Acquire)
     }
 }
 
@@ -544,51 +402,24 @@ impl ProbeScratch {
     }
 }
 
-/// A worker's view of the shared strategy: a private accumulator row per
-/// group ordinal, so aggregate updates never need atomics. The claiming
-/// worker's accumulator *is* the canonical row; every other worker
-/// materializes its own on first contact, and phase 2 merges them by key
-/// like any other duplicates (all rows of a group share a hash, so they
-/// always land in the same radix partition).
-struct SharedLocal {
-    sp: Arc<SharedPhase1>,
-    /// Ordinal → this worker's accumulator row (null until first seen).
-    local_ords: Vec<*mut u8>,
-    /// Scratch: ordinals whose accumulator row materializes this chunk.
-    new_ords: Vec<usize>,
-}
-
-// SAFETY: the row pointers target pages owned by this worker's partitioned
-// data (pinned until its flush — the shared path never resets) or canonical
-// pages kept pinned through `sp`; only this worker dereferences them.
-unsafe impl Send for SharedLocal {}
-
 /// Thread-local phase-1 state.
 struct LocalAgg<'a> {
     sink: &'a AggSink<'a>,
     ht: SaltedHashTable,
     data: PartitionedTupleData,
-    /// Per-row resolution of the current chunk: an entry-encoded value
-    /// (pending flag + ordinal, or a row pointer) on the thread-local
-    /// path; a group ordinal (`u64::MAX` = none) on the shared path.
+    /// Per-row resolution of the current chunk (scalar probe): an
+    /// entry-encoded value, pending flag + ordinal or a row pointer.
     targets: Vec<u64>,
     hashes: Vec<u64>,
     new_sel: Vec<u32>,
     pending_slots: Vec<usize>,
     scratch: ProbeScratch,
-    /// `Some` once this worker switched to the shared strategy.
-    shared_mode: Option<SharedLocal>,
     /// `Some` once this worker switched to the in-stream fast path (forced
     /// by [`SortedInput::Sorted`] or chosen by the sortedness detector).
     instream: Option<InStreamAgg>,
     /// Sortedness detector sample ([`SortedInput::Detect`]).
     detect_rows: usize,
     detect_runs: usize,
-    /// Sort fragment tails into runs at every pin release (the sorted-run
-    /// spill path; requires a heapless layout).
-    run_sort: bool,
-    sort_busy: Duration,
-    runs_sealed: u64,
     rows_in: usize,
     resets: u64,
 }
@@ -846,33 +677,28 @@ impl LocalAgg<'_> {
 }
 
 impl LocalAgg<'_> {
-    /// Consume one chunk (strategy-dispatched).
+    /// Consume one chunk (hash or in-stream path).
     fn sink(&mut self, chunk: &DataChunk) -> Result<()> {
         let plan = self.sink.plan;
         let n = chunk.len();
         if n == 0 {
             return Ok(());
         }
-        self.check_strategy();
         let mut group_views = ProbeScratch::take_views(&mut self.scratch.group_views);
         group_views.extend(plan.group_cols.iter().map(|&c| chunk.column(c)));
 
         // Sortedness detector ([`SortedInput::Detect`]): sample the
         // adjacent-run density of the first chunks; when runs average
         // [`IN_STREAM_RUN_MIN`] rows or longer, switch this worker to the
-        // in-stream path (the current chunk included). The sample is the
-        // same size as the phase-1 strategy sample, and the detector fires
-        // one chunk earlier, so a sorted dense input prefers in-stream over
-        // the shared index.
+        // in-stream path (the current chunk included).
         if self.instream.is_none()
-            && self.shared_mode.is_none()
             && self.sink.config.sorted_input == SortedInput::Detect
-            && self.detect_rows < STRATEGY_SAMPLE_ROWS
+            && self.detect_rows < DETECT_SAMPLE_ROWS
         {
             adjacent_runs(&group_views, n, &mut self.scratch.run_starts);
             self.detect_rows += n;
             self.detect_runs += self.scratch.run_starts.len();
-            if self.detect_rows >= STRATEGY_SAMPLE_ROWS
+            if self.detect_rows >= DETECT_SAMPLE_ROWS
                 && self.detect_runs * IN_STREAM_RUN_MIN <= self.detect_rows
             {
                 self.enable_instream();
@@ -890,11 +716,7 @@ impl LocalAgg<'_> {
             for (ci, col) in group_views.iter().enumerate() {
                 hashing::hash_vector(col, &mut self.hashes, ci > 0);
             }
-            if self.shared_mode.is_some() {
-                self.sink_shared(chunk, &group_views, n)
-            } else {
-                self.sink_local(chunk, &group_views, n)
-            }
+            self.sink_local(chunk, &group_views, n)
         };
         ProbeScratch::put_views(&mut self.scratch.group_views, group_views);
         res?;
@@ -902,56 +724,12 @@ impl LocalAgg<'_> {
         Ok(())
     }
 
-    /// Observe the run-wide strategy decision at chunk granularity, and (on
-    /// the adaptive path) contribute this worker's sample once it is large
-    /// enough. An overflowed shared index drops this worker back to the
-    /// thread-local path permanently — rows already routed through the
-    /// index merge by key in phase 2 regardless.
-    fn check_strategy(&mut self) {
-        if self.instream.is_some() {
-            // The in-stream path is a per-worker commitment; the run-wide
-            // strategy was settled to thread-local when it engaged.
-            return;
-        }
-        if let Some(sl) = &self.shared_mode {
-            if sl.sp.index.overflowed() {
-                self.shared_mode = None;
-            }
-            return;
-        }
-        if self.sink.config.threads <= 1 {
-            return;
-        }
-        match self.sink.decision.load(Ordering::Acquire) {
-            DECIDE_SHARED => self.enter_shared(),
-            DECIDE_PENDING if self.rows_in >= STRATEGY_SAMPLE_ROWS => {
-                let groups_seen = self.ht.count();
-                let want_shared = self.resets == 0
-                    && groups_seen <= SHARED_CARD_MAX
-                    && groups_seen * SHARED_DENSITY_MIN <= self.rows_in;
-                if self.sink.decide(want_shared, groups_seen) == DECIDE_SHARED {
-                    self.enter_shared();
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Switch this worker to the in-stream fast path. Settle the run-wide
-    /// strategy first (a later settle would overwrite the profile label),
-    /// then record the route. Rows already probed into the local table stay
-    /// in its fragments — phase 2 merges them by key. Under an Adaptive
-    /// phase-2 strategy the switch also turns on run-sorting: sorted input
-    /// is exactly what makes sealed runs long and the permute cheap.
+    /// Switch this worker to the in-stream fast path and record the route.
+    /// Rows already probed into the local table stay in its fragments —
+    /// phase 2 merges them by key.
     fn enable_instream(&mut self) {
-        self.sink.settle_local();
         if let Some(p) = self.sink.ctx.profile() {
             p.set_strategy("instream");
-        }
-        if self.sink.plan.layout.var_cols().is_empty()
-            && self.sink.config.phase2_strategy != Phase2Strategy::Hash
-        {
-            self.run_sort = true;
         }
         self.instream = Some(InStreamAgg::new());
     }
@@ -994,37 +772,15 @@ impl LocalAgg<'_> {
         Ok(())
     }
 
-    /// End one memory epoch: optionally seal the partitions' unsealed tails
-    /// as sorted runs, then release the append pins (pages become
+    /// End one memory epoch: release the append pins (pages become
     /// spillable) and clear the probe table.
     fn seal_epoch(&mut self) {
-        if self.run_sort {
-            let t = Instant::now();
-            self.runs_sealed += self.data.seal_sorted_runs(self.sink.plan.key_cols);
-            self.sort_busy += t.elapsed();
-        }
         if let Some(is) = &mut self.instream {
             is.on_release();
         }
         self.ht.reset();
         self.data.release_pins();
         self.resets += 1;
-    }
-
-    /// Adopt the installed shared state. Whatever this worker's local table
-    /// accumulated while sampling stays in its fragments — phase 2 merges
-    /// those rows with the shared-path rows by key.
-    fn enter_shared(&mut self) {
-        let sp = self.sink.shared_p1.lock().as_ref().map(Arc::clone);
-        if let Some(sp) = sp {
-            if !sp.index.overflowed() {
-                self.shared_mode = Some(SharedLocal {
-                    sp,
-                    local_ords: Vec::new(),
-                    new_ords: Vec::new(),
-                });
-            }
-        }
     }
 
     /// Thread-local chunk path (the paper's design).
@@ -1110,182 +866,6 @@ impl LocalAgg<'_> {
         }
         Ok(())
     }
-
-    /// Shared-strategy chunk path: resolve each row to a group ordinal in
-    /// the run-wide [`SharedGroupIndex`] (lock-free probes; inserts batched
-    /// under the canon lock), then update this worker's *private*
-    /// accumulator row for that ordinal — no atomics in the update kernels.
-    fn sink_shared(&mut self, chunk: &DataChunk, group_views: &[&Vector], n: usize) -> Result<()> {
-        let plan = self.sink.plan;
-        let sl = self.shared_mode.as_mut().expect("shared_mode checked");
-        let sp = Arc::clone(&sl.sp);
-        let idx = &sp.index;
-
-        // `targets[i]` = resolved group ordinal (u64::MAX = unresolved).
-        self.targets.clear();
-        self.targets.resize(n, u64::MAX);
-        let s = &mut self.scratch;
-        s.slots.clear();
-        s.slots
-            .extend(self.hashes[..n].iter().map(|&h| idx.slot(h)));
-        // Lock-free probe: most rows hit an already-published group.
-        s.stage1_fail.clear(); // rows needing the insert pass
-        'rows: for i in 0..n {
-            let h = self.hashes[i];
-            loop {
-                let e = idx.entry(s.slots[i]);
-                if e == 0 {
-                    s.stage1_fail.push(i as u32);
-                    continue 'rows;
-                }
-                if salt_bits(e) == salt_bits(h) {
-                    let ord = SharedGroupIndex::entry_ordinal(e);
-                    // SAFETY: published ordinals have canonical rows on
-                    // pages kept pinned for the whole of phase 1; only the
-                    // immutable key bytes are read here.
-                    if unsafe { rows_match(&plan.layout, group_views, i, idx.row_ptr(ord)) } {
-                        self.targets[i] = ord as u64;
-                        continue 'rows;
-                    }
-                }
-                s.slots[i] = idx.next_slot(s.slots[i]);
-            }
-        }
-
-        let mut layout_views = ProbeScratch::take_views(&mut s.layout_views);
-        layout_views.extend_from_slice(group_views);
-        for &c in &plan.payload_args {
-            layout_views.push(chunk.column(c));
-        }
-
-        // Insert pass: serialize new-group claims under the canon lock.
-        // Overflow rows (index full) fall through to `no_match` and are
-        // appended as unaggregated singletons — phase 2 merges by key.
-        s.no_match.clear();
-        if !s.stage1_fail.is_empty() {
-            let mut canon = sp.canon.lock();
-            let mut one: Vec<*mut u8> = Vec::with_capacity(1);
-            'pending: for &r in &s.stage1_fail {
-                let i = r as usize;
-                let h = self.hashes[i];
-                loop {
-                    let e = idx.entry(s.slots[i]);
-                    if e == 0 {
-                        match idx.alloc_ordinal() {
-                            Some(ord) => {
-                                one.clear();
-                                canon.append(&layout_views, &self.hashes, &[r], Some(&mut one))?;
-                                idx.publish(s.slots[i], h, ord, one[0]);
-                                if sl.local_ords.len() <= ord {
-                                    sl.local_ords.resize(ord + 1, std::ptr::null_mut());
-                                }
-                                // The claiming worker aggregates straight
-                                // into the canonical row it just wrote.
-                                sl.local_ords[ord] = one[0];
-                                self.targets[i] = ord as u64;
-                            }
-                            None => s.no_match.push(r),
-                        }
-                        continue 'pending;
-                    }
-                    if salt_bits(e) == salt_bits(h) {
-                        let ord = SharedGroupIndex::entry_ordinal(e);
-                        // SAFETY: as in the lock-free pass.
-                        if unsafe { rows_match(&plan.layout, group_views, i, idx.row_ptr(ord)) } {
-                            self.targets[i] = ord as u64;
-                            continue 'pending;
-                        }
-                    }
-                    s.slots[i] = idx.next_slot(s.slots[i]);
-                }
-            }
-        }
-        if s.row_ptrs.len() < n {
-            s.row_ptrs.resize(n, std::ptr::null_mut());
-        }
-        if !s.no_match.is_empty() {
-            // Index overflow: append these rows unaggregated and let the
-            // next chunk's strategy check drop back to the local path.
-            s.new_ptrs.clear();
-            self.data.append(
-                &layout_views,
-                &self.hashes,
-                &s.no_match,
-                Some(&mut s.new_ptrs),
-            )?;
-            for (k, &r) in s.no_match.iter().enumerate() {
-                // Each singleton row is its own (already-final) target.
-                s.row_ptrs[r as usize] = s.new_ptrs[k];
-            }
-        }
-
-        // Materialize this worker's accumulator row for ordinals it meets
-        // for the first time (one batched append, claim-marked first).
-        self.new_sel.clear();
-        sl.new_ords.clear();
-        let grow = idx.count();
-        if sl.local_ords.len() < grow {
-            sl.local_ords.resize(grow, std::ptr::null_mut());
-        }
-        for i in 0..n {
-            let t = self.targets[i];
-            if t == u64::MAX {
-                continue;
-            }
-            let ord = t as usize;
-            if sl.local_ords[ord].is_null() {
-                sl.local_ords[ord] = usize::MAX as *mut u8; // claim mark
-                self.new_sel.push(i as u32);
-                sl.new_ords.push(ord);
-            }
-        }
-        if !self.new_sel.is_empty() {
-            s.new_ptrs.clear();
-            self.data.append(
-                &layout_views,
-                &self.hashes,
-                &self.new_sel,
-                Some(&mut s.new_ptrs),
-            )?;
-            for (k, &ord) in sl.new_ords.iter().enumerate() {
-                sl.local_ords[ord] = s.new_ptrs[k];
-            }
-        }
-        ProbeScratch::put_views(&mut s.layout_views, layout_views);
-
-        // Resolve per-row accumulator pointers and run the update kernels.
-        for i in 0..n {
-            let t = self.targets[i];
-            if t != u64::MAX {
-                s.row_ptrs[i] = sl.local_ords[t as usize];
-            }
-            // else: overflow singleton pointer already written above.
-        }
-        match self.sink.config.kernel_mode {
-            KernelMode::Scalar => {
-                for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    let off = plan.layout.aggr_offset(sidx);
-                    for i in 0..n {
-                        // SAFETY: every pointer targets a row on a pinned
-                        // page owned by this worker's data.
-                        unsafe { update_state(agg, s.row_ptrs[i].add(off), arg, i) };
-                    }
-                }
-            }
-            KernelMode::Vectorized => {
-                for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                    let arg = agg.spec.arg.map(|c| chunk.column(c));
-                    let off = plan.layout.aggr_offset(sidx);
-                    // SAFETY: as above.
-                    unsafe { (agg.kernels.update)(&s.row_ptrs[..n], off, arg) };
-                }
-            }
-        }
-        // The shared path never resets: accumulator pages stay pinned (one
-        // row per group per worker — bounded by the index capacity).
-        Ok(())
-    }
 }
 
 /// Aggregate one partition: pin, recompute pointers, merge duplicate groups
@@ -1296,8 +876,6 @@ fn finalize_partition(
     mgr: &Arc<BufferManager>,
     config: &AggregateConfig,
     ctx: &ExecContext,
-    partition_idx: usize,
-    spill_retry_baseline: u64,
     mut part: TupleDataCollection,
     consumer: &(dyn Fn(DataChunk) -> Result<()> + Sync),
     groups_out: &AtomicUsize,
@@ -1323,52 +901,7 @@ fn finalize_partition(
     let pins = part.pin_all()?;
     let layout = &plan.layout;
 
-    // Per-partition merge strategy. The sorted merge is eligible only when
-    // the sealed runs tile the whole partition (an unsealed tail or a
-    // combined unsorted fragment disqualifies it), the layout is heapless,
-    // and no spill write was retried since the operator started — a retried
-    // write means the fault-injection (or a flaky device) touched the spill
-    // path, and re-hashing is the robust degradation. Adaptive additionally
-    // requires the partition to have gone external: in memory, the hash
-    // rebuild is cheap and the run seals were free to skip.
-    let runs: Vec<(usize, usize)> = part.sorted_runs().to_vec();
-    let spill_clean = mgr.stats().spill_retries == spill_retry_baseline;
-    let sorted_ok = !runs.is_empty()
-        && part.runs_cover_all_rows()
-        && layout.var_cols().is_empty()
-        && spill_clean;
-    let use_sorted = match config.phase2_strategy {
-        Phase2Strategy::Hash => false,
-        Phase2Strategy::SortedMerge => sorted_ok,
-        Phase2Strategy::Adaptive => sorted_ok && external,
-    };
-    if let Some(profile) = ctx.profile() {
-        profile.record_partition_merge(
-            partition_idx,
-            if use_sorted { "sorted_merge" } else { "hash" },
-            runs.len() as u64,
-            if use_sorted { runs.len() as u64 } else { 0 },
-        );
-    }
-
-    let mut live: Vec<*mut u8> = Vec::new();
-    let mut ptrs: Vec<*mut u8> = Vec::new();
-    if use_sorted {
-        merge_sorted_runs(
-            plan,
-            config,
-            ctx,
-            partition_idx,
-            &part,
-            &pins,
-            &runs,
-            &mut live,
-            &mut ptrs,
-            sbuf,
-        )?;
-    } else {
-        finalize_hash_dedup(plan, mgr, config, ctx, &part, &pins, &mut live, &mut ptrs)?;
-    }
+    let live = finalize_hash_dedup(plan, mgr, config, ctx, &part, &pins)?;
 
     // Emit the surviving groups ("fully aggregated partitions are
     // immediately scanned" — pushed to the consumer, then freed).
@@ -1431,9 +964,9 @@ fn finalize_partition(
     Ok(())
 }
 
-/// Phase-2 hash dedup (the default merge): rebuild a partition-local probe
-/// table over the pinned rows, combining duplicate groups by key.
-#[allow(clippy::too_many_arguments)]
+/// Phase-2 hash dedup: rebuild a partition-local probe table over the
+/// pinned rows, combining duplicate groups by key. Returns the surviving
+/// group rows.
 fn finalize_hash_dedup(
     plan: &BoundPlan,
     mgr: &Arc<BufferManager>,
@@ -1441,10 +974,10 @@ fn finalize_hash_dedup(
     ctx: &ExecContext,
     part: &TupleDataCollection,
     pins: &rexa_layout::CollectionPins,
-    live: &mut Vec<*mut u8>,
-    ptrs: &mut Vec<*mut u8>,
-) -> Result<()> {
+) -> Result<Vec<*mut u8>> {
     let layout = &plan.layout;
+    let mut live: Vec<*mut u8> = Vec::new();
+    let mut ptrs: Vec<*mut u8> = Vec::new();
     let cap = (part.rows() * 2).next_power_of_two().max(1024);
     let mut ht = SaltedHashTable::with_capacity_ctx(mgr, cap, ctx)?;
     match config.kernel_mode {
@@ -1452,7 +985,7 @@ fn finalize_hash_dedup(
             for c in 0..part.chunk_count() {
                 ctx.check_cancelled()?;
                 ptrs.clear();
-                part.chunk_row_ptrs(pins, c, ptrs);
+                part.chunk_row_ptrs(pins, c, &mut ptrs);
                 for &row in ptrs.iter() {
                     // SAFETY: the partition is pinned and pointer-recomputed.
                     let h = unsafe { layout.read_hash(row) };
@@ -1503,7 +1036,7 @@ fn finalize_hash_dedup(
             for c in 0..part.chunk_count() {
                 ctx.check_cancelled()?;
                 ptrs.clear();
-                part.chunk_row_ptrs(pins, c, ptrs);
+                part.chunk_row_ptrs(pins, c, &mut ptrs);
                 let m = ptrs.len();
                 // SAFETY: the partition is pinned and pointer-recomputed.
                 hashes.clear();
@@ -1601,171 +1134,7 @@ fn finalize_hash_dedup(
             }
         }
     }
-    Ok(())
-}
-
-/// Phase-2 sorted merge: a K-way streaming merge over the partition's
-/// sealed sorted runs. The first row of each key claims into `live`; every
-/// following equal row combines into it — duplicate groups dissolve without
-/// rebuilding a hash table, so the working set is the K run cursors instead
-/// of a probe table over all rows. Combines happen in merge order (scalar:
-/// immediately; vectorized: deferred into one batched kernel call per
-/// aggregate, same per-group order), and equal keys break ties on the run
-/// index, so the merge is deterministic.
-#[allow(clippy::too_many_arguments)]
-fn merge_sorted_runs(
-    plan: &BoundPlan,
-    config: &AggregateConfig,
-    ctx: &ExecContext,
-    partition_idx: usize,
-    part: &TupleDataCollection,
-    pins: &rexa_layout::CollectionPins,
-    runs: &[(usize, usize)],
-    live: &mut Vec<*mut u8>,
-    ptrs: &mut Vec<*mut u8>,
-    sbuf: Option<&SpanBuffer>,
-) -> Result<()> {
-    let layout = &plan.layout;
-    let t0 = sbuf.map(|b| b.now_ns());
-    // Row pointers in logical row order (chunk order), so run ranges index
-    // directly.
-    let mut all: Vec<*mut u8> = Vec::with_capacity(part.rows());
-    for c in 0..part.chunk_count() {
-        ptrs.clear();
-        part.chunk_row_ptrs(pins, c, ptrs);
-        all.extend_from_slice(ptrs);
-    }
-    debug_assert_eq!(all.len(), part.rows());
-
-    // Cursor = (pos, end, run index, key prefix of the row at pos) over
-    // `all`; a manual binary min-heap ordered by key bytes, run index
-    // breaking ties. The cached prefix settles most heap comparisons with
-    // one integer compare; a prefix tie falls back to the row comparator
-    // unless the prefix order is exact for this key layout (the common
-    // single fixed-width group column).
-    type Cursor = (usize, usize, usize, u128);
-    let exact = prefix_is_exact(layout, plan.key_cols);
-    let before = |a: &Cursor, b: &Cursor| -> bool {
-        match a.3.cmp(&b.3) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal if exact => a.2 < b.2,
-            std::cmp::Ordering::Equal => {
-                // SAFETY: all rows are pinned; only key bytes are read.
-                let c = unsafe { row_row_cmp(layout, plan.key_cols, all[a.0], all[b.0]) };
-                if c.is_eq() {
-                    a.2 < b.2
-                } else {
-                    c.is_lt()
-                }
-            }
-        }
-    };
-    fn sift_down<F: Fn(&(usize, usize, usize, u128), &(usize, usize, usize, u128)) -> bool>(
-        v: &mut [(usize, usize, usize, u128)],
-        mut i: usize,
-        before: &F,
-    ) {
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut best = i;
-            if l < v.len() && before(&v[l], &v[best]) {
-                best = l;
-            }
-            if r < v.len() && before(&v[r], &v[best]) {
-                best = r;
-            }
-            if best == i {
-                return;
-            }
-            v.swap(i, best);
-            i = best;
-        }
-    }
-    let mut heap: Vec<Cursor> = runs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(_, len))| len > 0)
-        .map(|(k, &(start, len))| {
-            // SAFETY: run rows are pinned.
-            (start, start + len, k, unsafe {
-                key_prefix(layout, all[start])
-            })
-        })
-        .collect();
-    let fanin = heap.len() as u64;
-    for i in (0..heap.len() / 2).rev() {
-        sift_down(&mut heap, i, &before);
-    }
-
-    let mut current: *mut u8 = std::ptr::null_mut();
-    let mut current_prefix: u128 = 0;
-    let mut pairs: Vec<(*const u8, *mut u8)> = Vec::new();
-    let mut popped = 0usize;
-    while let Some(&(pos, end, _, prefix)) = heap.first() {
-        popped += 1;
-        if popped & 1023 == 0 {
-            ctx.check_cancelled()?;
-        }
-        let row = all[pos];
-        // Prefix mismatch rules the key out without touching row bytes; on
-        // a match the full comparator confirms unless the prefix is exact.
-        // SAFETY: both rows are pinned; only immutable key bytes are read.
-        let same_key = !current.is_null()
-            && prefix == current_prefix
-            && (exact || unsafe { row_row_match(layout, plan.key_cols, current, row) });
-        if same_key {
-            match config.kernel_mode {
-                KernelMode::Scalar => {
-                    for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-                        let off = layout.aggr_offset(sidx);
-                        // SAFETY: states are inside the rows.
-                        unsafe { combine_state(agg, row.add(off), current.add(off)) };
-                    }
-                }
-                KernelMode::Vectorized => pairs.push((row as *const u8, current)),
-            }
-        } else {
-            live.push(row);
-            current = row;
-            current_prefix = prefix;
-        }
-        // Advance this run's cursor (or retire it), then restore the heap.
-        if pos + 1 < end {
-            heap[0].0 = pos + 1;
-            // SAFETY: run rows are pinned.
-            heap[0].3 = unsafe { key_prefix(layout, all[pos + 1]) };
-        } else {
-            let last = heap.len() - 1;
-            heap.swap(0, last);
-            heap.pop();
-        }
-        if !heap.is_empty() {
-            sift_down(&mut heap, 0, &before);
-        }
-    }
-    if !pairs.is_empty() {
-        let mut state_pairs: Vec<(*const u8, *mut u8)> = Vec::new();
-        for (sidx, agg) in plan.state_aggs.iter().enumerate() {
-            let off = layout.aggr_offset(sidx);
-            state_pairs.clear();
-            state_pairs.extend(pairs.iter().map(|&(src, dst)| {
-                // SAFETY: states are inside the rows.
-                unsafe { (src.add(off), dst.add(off)) }
-            }));
-            // SAFETY: src/dst are distinct rows' states.
-            unsafe { (agg.kernels.combine)(&state_pairs) };
-        }
-    }
-    if let (Some(b), Some(t)) = (sbuf, t0) {
-        b.complete(
-            "sorted_merge",
-            span_cat::COMPUTE,
-            t,
-            span::arg2("partition", partition_idx as u64, "fanin", fanin),
-        );
-    }
-    Ok(())
+    Ok(live)
 }
 
 /// Phase-2 merge schedule: partition indices ordered by payload size,
@@ -1829,8 +1198,8 @@ struct PartitionHandoff {
     failed: AtomicBool,
     /// Worker bodies that have begun executing (see the type docs).
     started: AtomicUsize,
-    /// Workers still probing; the one that takes this to zero absorbs the
-    /// shared strategy's canonical rows into its own fragments.
+    /// Workers still probing; merge claims wait until it reaches zero, and
+    /// the worker that takes it there wakes the merge waiters.
     probers: AtomicUsize,
     /// Workers that have not finished flushing. Zero means `ready` is
     /// complete; the worker that takes it there stamps the phase-1 wall
@@ -1959,10 +1328,6 @@ pub fn hash_aggregate_streaming_ctx(
     };
     let radix_bits = config.effective_radix_bits();
     let stats_before = mgr.stats();
-    // Spill-retry watermark: phase 2 degrades sorted merges to hash dedup
-    // when any spill write needed a retry during this run (see
-    // `finalize_partition`).
-    let spill_baseline = stats_before.spill_retries;
 
     // Every run collects a full profile: workers credit busy time and work
     // units to the collector's current phase, and the orchestration below
@@ -1976,6 +1341,8 @@ pub fn hash_aggregate_streaming_ctx(
     let ctx_prof = ctx.clone().with_profile(Arc::clone(&collector));
     let ctx = &ctx_prof;
     collector.set_threads(config.threads);
+    // Workers that switch to the in-stream path relabel the run.
+    collector.set_strategy("thread_local");
     // Timeline tracing is strictly opt-in: with no collector on the
     // context, every span site below is a skipped `Option` check. With
     // one, the buffer manager's background I/O workers record into the
@@ -1996,23 +1363,8 @@ pub fn hash_aggregate_streaming_ctx(
         radix_bits,
         rows_in: AtomicUsize::new(0),
         resets: AtomicU64::new(0),
-        decision: AtomicU8::new(DECIDE_PENDING),
-        shared_p1: Mutex::new(None),
     };
-    // Resolve a forced strategy up front; `Adaptive` stays pending until the
-    // first worker sample arrives. The shared strategy needs concurrency to
-    // pay off (and single-thread runs promise scalar/vectorized
-    // bit-identity), so it only ever engages at `threads > 1`.
     let threads_n = config.threads.max(1);
-    match config.phase1_strategy {
-        Phase1Strategy::ThreadLocal => sink.settle_local(),
-        Phase1Strategy::Shared if threads_n > 1 => {
-            sink.install_shared(config.ht_capacity.max(STRATEGY_SAMPLE_ROWS))?;
-        }
-        Phase1Strategy::Shared => sink.settle_local(),
-        Phase1Strategy::Adaptive if threads_n <= 1 => sink.settle_local(),
-        Phase1Strategy::Adaptive => {}
-    }
 
     let partitions = 1usize << radix_bits;
     let groups_out = AtomicUsize::new(0);
@@ -2030,11 +1382,11 @@ pub fn hash_aggregate_streaming_ctx(
         let depth = config.readahead_depth;
         let t0 = Instant::now();
         let t0_ns = cbuf.as_ref().map(|b| b.now_ns());
-        // The unified worker body: probe morsels into thread-local (or
-        // shared) state, flush fragments through the per-partition handoff,
-        // then merge whatever partitions are (or become) ready. There is no
-        // barrier: the first complete partition is merged while other
-        // workers still probe.
+        // The unified worker body: probe morsels into thread-local state,
+        // flush fragments through the per-partition handoff, then merge
+        // whatever partitions are (or become) ready. There is no barrier:
+        // the first complete partition is merged while other workers still
+        // flush.
         let worker = || -> Result<()> {
             let wid = collector.begin_worker();
             let sbuf = spans.as_ref().map(|sc| sc.track(format!("worker {wid}")));
@@ -2094,47 +1446,12 @@ pub fn hash_aggregate_streaming_ctx(
             sink.resets.fetch_add(local.resets, Ordering::Relaxed);
             collector.record_worker_resets(wid, local.resets);
             probe_res?;
-            // Seal the unsealed partition tails as this worker's final
-            // sorted runs while the append pins are still held (sealing
-            // permutes row bytes in place, which needs the pages resident
-            // and exclusive).
-            if local.run_sort {
-                let t_sort = Instant::now();
-                let t_sort_ns = sbuf.as_ref().map(|b| b.now_ns());
-                let sealed = local.data.seal_sorted_runs(bound.key_cols);
-                local.runs_sealed += sealed;
-                if let Some(is) = &mut local.instream {
-                    is.on_release();
-                }
-                local.sort_busy += t_sort.elapsed();
-                if let (Some(b), Some(t)) = (&sbuf, t_sort_ns) {
-                    b.complete("run_sort", span_cat::COMPUTE, t, span::arg1("runs", sealed));
-                }
-            }
-            collector.add_busy_to(Phase::Sort, local.sort_busy);
-            collector.add_sorted_runs(local.runs_sealed);
-            // The last worker out of the probe absorbs the shared
-            // strategy's canonical rows (nobody key-compares against them
-            // once probing is over), so they flush like any other
-            // fragments and phase 2 merges per-worker duplicates by key.
+            local.data.release_pins();
             if handoff.probers.fetch_sub(1, Ordering::AcqRel) == 1 {
-                let sp = sink.shared_p1.lock().as_ref().map(Arc::clone);
-                if let Some(sp) = sp {
-                    let mut canon_guard = sp.canon.lock();
-                    let mut canon = std::mem::replace(
-                        &mut *canon_guard,
-                        PartitionedTupleData::new(mgr, &bound.layout, radix_bits),
-                    );
-                    drop(canon_guard);
-                    canon.release_pins();
-                    local.data.release_pins();
-                    local.data.combine(canon);
-                }
                 // Probe pins are gone everywhere: wake merge waiters.
                 let _g = handoff.ready.lock();
                 handoff.ready_cv.notify_all();
             }
-            local.data.release_pins();
             if let (Some(b), Some(t)) = (&sbuf, t_probe_ns) {
                 b.complete(
                     "probe",
@@ -2264,8 +1581,6 @@ pub fn hash_aggregate_streaming_ctx(
                     mgr,
                     config,
                     ctx,
-                    p,
-                    spill_baseline,
                     part,
                     consumer,
                     &groups_out,
@@ -2298,7 +1613,6 @@ pub fn hash_aggregate_streaming_ctx(
         let phase2 = t0.elapsed().saturating_sub(phase1);
         collector.set_phase_wall(Phase::Probe, phase1);
         collector.set_phase_wall(Phase::Partition, Duration::ZERO);
-        collector.set_phase_wall(Phase::Sort, Duration::ZERO);
         collector.set_phase_wall(Phase::Merge, phase2);
         if let (Some(b), Some(t0n)) = (&cbuf, t0_ns) {
             // Phase lanes on the coordinator track: the wall-clock extent
@@ -2314,11 +1628,6 @@ pub fn hash_aggregate_streaming_ctx(
                 t0n + p1 + p2,
                 span::NO_ARGS,
             );
-        }
-        // An input too small to sample (or empty) never decides: it ran
-        // thread-local throughout, so record that.
-        if sink.decision.load(Ordering::Acquire) == DECIDE_PENDING {
-            sink.settle_local();
         }
         let rows_in = sink.rows_in.load(Ordering::Relaxed);
         let resets = sink.resets.load(Ordering::Relaxed);
@@ -3335,116 +2644,33 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_picks_shared_on_low_cardinality() {
-        // 256 groups over 150k rows: dense, cache-resident — the sampling
-        // worker sees every condition for the shared table.
-        let coll = make_input(150_000, 256, 11);
-        let plan = HashAggregatePlan {
-            group_cols: vec![0],
-            aggregates: vec![AggregateSpec::sum(1), AggregateSpec::count_star()],
-        };
-        let config = AggregateConfig {
-            threads: 4,
-            radix_bits: Some(3),
-            ..Default::default()
-        };
-        let mgr = mgr_with(64 << 20, 64 << 10);
-        let stats = check_against_reference(&coll, &plan, &config, &mgr);
-        assert_eq!(stats.profile.strategy, "shared");
-    }
-
-    #[test]
-    fn adaptive_stays_thread_local_on_high_cardinality() {
-        // ~50k groups: the sample is sparse (density check fails), so the
-        // run must stay on the paper's thread-local path.
-        let coll = make_input(60_000, 50_000, 7);
+    fn multi_thread_runs_report_thread_local() {
+        // Low cardinality (256 groups over 150k rows, dense and
+        // cache-resident) and high cardinality (~50k groups) both take the
+        // thread-local hash path, and the profile says so.
         let mgr = mgr_with(256 << 20, 64 << 10);
         let plan = HashAggregatePlan {
             group_cols: vec![0],
             aggregates: vec![AggregateSpec::sum(1), AggregateSpec::count_star()],
         };
-        let stats = check_against_reference(&coll, &plan, &small_config(4), &mgr);
-        assert_eq!(stats.profile.strategy, "thread_local");
-    }
-
-    #[test]
-    fn forced_shared_matches_reference_for_string_and_multi_column_keys() {
-        // The shared index key-compares canonical rows lock-free; strings
-        // (heap payloads) and multi-column keys are the risky shapes.
-        let coll = make_input(50_000, 300, 3);
-        let mgr = mgr_with(64 << 20, 64 << 10);
-        for threads in [2, 4] {
-            for group_cols in [vec![2], vec![0, 2]] {
-                let plan = HashAggregatePlan {
-                    group_cols,
-                    aggregates: vec![
-                        AggregateSpec::sum(1),
-                        AggregateSpec::count_star(),
-                        AggregateSpec::min(1),
-                    ],
-                };
-                let config = AggregateConfig {
-                    threads,
-                    radix_bits: Some(3),
-                    phase1_strategy: Phase1Strategy::Shared,
-                    ..Default::default()
-                };
-                let stats = check_against_reference(&coll, &plan, &config, &mgr);
-                assert_eq!(stats.profile.strategy, "shared");
-            }
+        for (rows, groups, seed) in [(150_000, 256, 11), (60_000, 50_000, 7)] {
+            let coll = make_input(rows, groups, seed);
+            let stats = check_against_reference(&coll, &plan, &small_config(4), &mgr);
+            assert_eq!(stats.profile.strategy, "thread_local", "{groups} groups");
         }
     }
 
     #[test]
-    fn forced_shared_overflow_falls_back_and_stays_correct() {
-        // max_groups = ht_capacity = 8192 but the input has ~20k groups:
-        // the index overflows mid-run, overflow rows append as singletons,
-        // workers drop back to thread-local, and phase 2 merges it all.
-        let coll = make_input(60_000, 20_000, 5);
-        let mgr = mgr_with(256 << 20, 64 << 10);
-        let plan = HashAggregatePlan {
-            group_cols: vec![0],
-            aggregates: vec![AggregateSpec::sum(1), AggregateSpec::count_star()],
-        };
-        let config = AggregateConfig {
-            phase1_strategy: Phase1Strategy::Shared,
-            ..small_config(4)
-        };
-        let stats = check_against_reference(&coll, &plan, &config, &mgr);
-        assert_eq!(stats.profile.strategy, "shared");
-    }
-
-    #[test]
-    fn forced_shared_single_thread_runs_thread_local() {
-        // The shared strategy needs concurrency to pay off and would break
-        // the single-thread scalar/vectorized bit-identity contract, so a
-        // forced `Shared` at threads=1 degrades to thread-local.
-        let coll = make_input(20_000, 100, 9);
-        let mgr = mgr_with(64 << 20, 64 << 10);
-        let plan = HashAggregatePlan {
-            group_cols: vec![0],
-            aggregates: vec![AggregateSpec::sum(1), AggregateSpec::count_star()],
-        };
-        let config = AggregateConfig {
-            phase1_strategy: Phase1Strategy::Shared,
-            ..small_config(1)
-        };
-        let stats = check_against_reference(&coll, &plan, &config, &mgr);
-        assert_eq!(stats.profile.strategy, "thread_local");
-    }
-
-    #[test]
-    fn adaptive_shared_handles_spilling_config() {
-        // Adaptive under a tight limit with tiny pages: whichever strategy
-        // wins, spills and the per-partition handoff must stay correct.
+    fn low_cardinality_spilling_config_matches_reference() {
+        // Few groups under a tight limit with tiny pages: spills and the
+        // per-partition handoff must stay correct.
         let coll = make_input(80_000, 512, 21);
         let mgr = mgr_with(1 << 20, 4 << 10);
         let plan = HashAggregatePlan {
             group_cols: vec![0],
             aggregates: vec![AggregateSpec::sum(1), AggregateSpec::count_star()],
         };
-        let config = small_config(4);
-        let stats = check_against_reference(&coll, &plan, &config, &mgr);
-        assert!(!stats.profile.strategy.is_empty());
+        let stats = check_against_reference(&coll, &plan, &small_config(4), &mgr);
+        assert_eq!(stats.profile.strategy, "thread_local");
     }
 }

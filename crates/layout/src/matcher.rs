@@ -7,7 +7,6 @@ use crate::string::RexaString;
 use rexa_exec::hashing::normalize_f64_key;
 use rexa_exec::vector::VectorData;
 use rexa_exec::Vector;
-use std::cmp::Ordering;
 
 /// Compare the group-key columns of input row `input_row` against the
 /// materialized row at `row`. NULLs compare equal to NULLs (SQL GROUP BY
@@ -328,104 +327,6 @@ pub fn adjacent_runs(cols: &[&Vector], len: usize, run_starts: &mut Vec<u32>) {
             }
         }
     }
-}
-
-/// Total ordering over the first `key_cols` columns of two materialized
-/// rows. NULL sorts before any value; Int32/Date compare as i32,
-/// Int64/Float64 by their materialized 8-byte pattern (floats are stored
-/// key-normalized, so the order is arbitrary but total and deterministic),
-/// Varchar by bytes. Returns `Ordering::Equal` exactly when
-/// [`row_row_match`] returns true — the property sorted-run spilling and the
-/// streaming phase-2 merge rely on.
-///
-/// # Safety
-/// Both pointers must address live rows of `layout`, pinned and recomputed.
-pub unsafe fn row_row_cmp(
-    layout: &TupleDataLayout,
-    key_cols: usize,
-    a: *const u8,
-    b: *const u8,
-) -> Ordering {
-    for c in 0..key_cols {
-        let av = layout.is_valid(a, c);
-        let bv = layout.is_valid(b, c);
-        match (av, bv) {
-            (false, false) => continue, // NULL == NULL for grouping
-            (false, true) => return Ordering::Less,
-            (true, false) => return Ordering::Greater,
-            (true, true) => {}
-        }
-        let sa = a.add(layout.offset(c));
-        let sb = b.add(layout.offset(c));
-        let ord = match layout.types()[c] {
-            rexa_exec::LogicalType::Int32 | rexa_exec::LogicalType::Date => {
-                let va = std::ptr::read_unaligned(sa as *const i32);
-                let vb = std::ptr::read_unaligned(sb as *const i32);
-                va.cmp(&vb)
-            }
-            rexa_exec::LogicalType::Int64 | rexa_exec::LogicalType::Float64 => {
-                // Bitwise u64 order: consistent with row_row_match's bitwise
-                // equality for both types (floats are key-normalized before
-                // materialization).
-                let va = std::ptr::read_unaligned(sa as *const u64);
-                let vb = std::ptr::read_unaligned(sb as *const u64);
-                va.cmp(&vb)
-            }
-            rexa_exec::LogicalType::Varchar => {
-                let ra = RexaString::read_from(sa);
-                let rb = RexaString::read_from(sb);
-                ra.as_bytes().cmp(rb.as_bytes())
-            }
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
-}
-
-/// Order-preserving prefix of a row's *first* key column, packed into a
-/// `u128`: NULL maps to 0 and every non-NULL value maps above it, in exactly
-/// the order [`row_row_cmp`] assigns to column 0. Merge loops cache this per
-/// run cursor so most heap comparisons settle on one integer compare; a
-/// prefix tie needs the full [`row_row_cmp`] only when [`prefix_is_exact`]
-/// is false (multi-column keys, or a Varchar first column where the prefix
-/// covers just the first eight bytes).
-///
-/// # Safety
-/// `row` must address a live row of `layout`, pinned and recomputed.
-pub unsafe fn key_prefix(layout: &TupleDataLayout, row: *const u8) -> u128 {
-    if !layout.is_valid(row, 0) {
-        return 0;
-    }
-    let s = row.add(layout.offset(0));
-    let v = match layout.types()[0] {
-        rexa_exec::LogicalType::Int32 | rexa_exec::LogicalType::Date => {
-            // Flip the sign bit: signed i32 order becomes unsigned order.
-            u64::from(std::ptr::read_unaligned(s as *const u32) ^ 0x8000_0000)
-        }
-        rexa_exec::LogicalType::Int64 | rexa_exec::LogicalType::Float64 => {
-            // row_row_cmp orders these by their raw 8-byte pattern already.
-            std::ptr::read_unaligned(s as *const u64)
-        }
-        rexa_exec::LogicalType::Varchar => {
-            // First eight bytes, big-endian: lexicographic on the prefix.
-            let rs = RexaString::read_from(s);
-            let bytes = rs.as_bytes();
-            let mut buf = [0u8; 8];
-            let n = bytes.len().min(8);
-            buf[..n].copy_from_slice(&bytes[..n]);
-            u64::from_be_bytes(buf)
-        }
-    };
-    (1u128 << 64) | u128::from(v)
-}
-
-/// True when [`key_prefix`] order *is* the [`row_row_cmp`] order — equal
-/// prefixes imply equal keys, so callers can skip the row comparator
-/// entirely: exactly one key column, of a fixed-width type.
-pub fn prefix_is_exact(layout: &TupleDataLayout, key_cols: usize) -> bool {
-    key_cols == 1 && layout.types()[0] != rexa_exec::LogicalType::Varchar
 }
 
 /// Compare the first `key_cols` columns of two rows that live in *different*

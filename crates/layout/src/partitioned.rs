@@ -136,21 +136,6 @@ impl PartitionedTupleData {
         Ok(())
     }
 
-    /// Seal the unsealed tail of every partition as one sorted run each
-    /// (see [`TupleDataCollection::seal_sorted_run`] for the pin/layout
-    /// contract). Returns the number of runs recorded. Called right before
-    /// a pin release when the hybrid spill path wants phase 2 to merge
-    /// sorted runs instead of re-hashing.
-    pub fn seal_sorted_runs(&mut self, key_cols: usize) -> u64 {
-        let mut runs = 0;
-        for p in &mut self.partitions {
-            if p.seal_sorted_run(key_cols) {
-                runs += 1;
-            }
-        }
-        runs
-    }
-
     /// Release append pins on every partition (hash-table reset).
     pub fn release_pins(&mut self) {
         for p in &mut self.partitions {

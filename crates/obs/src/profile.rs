@@ -17,31 +17,27 @@ use std::time::Duration;
 
 /// Execution phases of the aggregation operator, in pipeline order.
 ///
-/// [`Phase::ALL`] is the canonical render order (probe → partition → sort →
-/// merge → finalize); [`QueryProfile::render`] iterates it so phase rows
-/// never depend on which strategy touched which phase first.
+/// [`Phase::ALL`] is the canonical render order (probe → partition → merge
+/// → finalize); [`QueryProfile::render`] iterates it so phase rows never
+/// depend on which phase was touched first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Phase 1: thread-local salted-table pre-aggregation over the input.
     Probe,
     /// Materializing overflow state into radix partitions and spilling.
     Partition,
-    /// Sorting spill-run tails by key before write-out (hybrid hash/sort
-    /// path only; zero when every partition merged through the hash path).
-    Sort,
     /// Phase 2: partition-wise merge of pre-aggregated state.
     Merge,
     /// Gather/emit of final group rows.
     Finalize,
 }
 
-pub const PHASE_COUNT: usize = 5;
+pub const PHASE_COUNT: usize = 4;
 
 impl Phase {
     pub const ALL: [Phase; PHASE_COUNT] = [
         Phase::Probe,
         Phase::Partition,
-        Phase::Sort,
         Phase::Merge,
         Phase::Finalize,
     ];
@@ -50,9 +46,8 @@ impl Phase {
         match self {
             Phase::Probe => 0,
             Phase::Partition => 1,
-            Phase::Sort => 2,
-            Phase::Merge => 3,
-            Phase::Finalize => 4,
+            Phase::Merge => 2,
+            Phase::Finalize => 3,
         }
     }
 
@@ -60,7 +55,6 @@ impl Phase {
         match self {
             Phase::Probe => "phase 1 · probe",
             Phase::Partition => "partition/spill",
-            Phase::Sort => "run sort",
             Phase::Merge => "phase 2 · merge",
             Phase::Finalize => "finalize/emit",
         }
@@ -105,21 +99,6 @@ pub struct WorkerProfile {
     pub ht_resets: u64,
 }
 
-/// Per-partition phase-2 decision of the hybrid hash/sort chooser: which
-/// merge strategy the partition ran, how many sorted runs its data carried,
-/// and the fan-in of the streaming merge (zero on the hash path).
-#[derive(Clone, Debug, Default)]
-pub struct PartitionMergeProfile {
-    /// Radix partition index.
-    pub partition: usize,
-    /// `"hash"` or `"sorted_merge"`.
-    pub strategy: String,
-    /// Sorted runs recorded for the partition's data at merge time.
-    pub sorted_runs: u64,
-    /// Runs merged by the streaming sorted merge (0 for the hash path).
-    pub merge_fanin: u64,
-}
-
 /// Immutable per-query execution profile. All counters are totals for the
 /// query; see [`ProfileCollector`] for how they are gathered.
 #[derive(Clone, Debug, Default)]
@@ -127,8 +106,8 @@ pub struct QueryProfile {
     /// Operator headline, e.g. `HASH_AGGREGATE (vectorized)`.
     pub operator: String,
     pub threads: usize,
-    /// Phase-1 strategy the operator ran with (e.g. `thread_local`,
-    /// `shared`, `adaptive:shared`). Empty for operators without one.
+    /// Phase-1 path the operator ran with (`thread_local` or `instream`).
+    /// Empty for operators without one.
     pub strategy: String,
     /// Per-worker phase-1 attribution, sorted by worker index. Empty when
     /// the operator did not record it.
@@ -147,14 +126,6 @@ pub struct QueryProfile {
     /// Partitions whose state had been evicted to disk and was read back
     /// during the merge ("gone external").
     pub partitions_external: u64,
-    /// Total sorted runs produced by the run-sort phase across partitions.
-    pub sorted_runs: u64,
-    /// Maximum fan-in any streaming sorted merge ran with (0 when every
-    /// partition took the hash path).
-    pub merge_fanin: u64,
-    /// Per-partition merge-strategy decisions, sorted by partition index.
-    /// Empty when the operator recorded none (e.g. empty input).
-    pub partition_merges: Vec<PartitionMergeProfile>,
     pub spill_bytes_written: u64,
     pub spill_bytes_read: u64,
     pub spill_retries: u64,
@@ -234,13 +205,6 @@ impl QueryProfile {
                         self.partitions, self.partitions_external
                     );
                 }
-                Phase::Sort => {
-                    let _ = write!(
-                        out,
-                        "  sorted_runs {}  merge_fanin {}",
-                        self.sorted_runs, self.merge_fanin
-                    );
-                }
                 Phase::Merge => {
                     let _ = write!(out, "  partitions {}  groups {}", p.units, self.groups);
                 }
@@ -259,26 +223,6 @@ impl QueryProfile {
                         w.morsels,
                         w.chunks,
                         w.ht_resets,
-                    );
-                }
-            }
-            if phase == Phase::Merge && !self.partition_merges.is_empty() {
-                let hash = self
-                    .partition_merges
-                    .iter()
-                    .filter(|m| m.strategy == "hash")
-                    .count();
-                let sorted = self.partition_merges.len() - hash;
-                let _ = writeln!(out, "│    strategies  hash {hash}  sorted_merge {sorted}");
-                for m in self
-                    .partition_merges
-                    .iter()
-                    .filter(|m| m.strategy != "hash")
-                {
-                    let _ = writeln!(
-                        out,
-                        "│    partition {}  {}  runs {}  fanin {}",
-                        m.partition, m.strategy, m.sorted_runs, m.merge_fanin,
                     );
                 }
             }
@@ -345,9 +289,6 @@ pub struct ProfileCollector {
     evictions: AtomicU64,
     readahead_hits: AtomicU64,
     readahead_misses: AtomicU64,
-    sorted_runs: AtomicU64,
-    merge_fanin: AtomicU64,
-    partition_merges: Mutex<Vec<PartitionMergeProfile>>,
     strategy: Mutex<String>,
     /// Dense worker-id allocator; ids are per-query, assigned at first use.
     next_worker: AtomicUsize,
@@ -396,7 +337,8 @@ impl ProfileCollector {
         }
     }
 
-    /// Coordinator: record the phase-1 strategy the operator settled on.
+    /// Record the phase-1 path the operator took (`thread_local` or
+    /// `instream`).
     pub fn set_strategy(&self, strategy: &str) {
         *self.strategy.lock() = strategy.to_string();
     }
@@ -477,25 +419,6 @@ impl ProfileCollector {
         self.partitions_external.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Worker: count sorted runs produced by a run-sort (phase-1 spill-tail
-    /// sorting of the hybrid hash/sort path).
-    pub fn add_sorted_runs(&self, n: u64) {
-        self.sorted_runs.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Worker: record the phase-2 chooser's decision for one partition
-    /// (`strategy` is `"hash"` or `"sorted_merge"`). Keeps the running
-    /// maximum merge fan-in alongside the per-partition records.
-    pub fn record_partition_merge(&self, partition: usize, strategy: &str, runs: u64, fanin: u64) {
-        self.merge_fanin.fetch_max(fanin, Ordering::Relaxed);
-        self.partition_merges.lock().push(PartitionMergeProfile {
-            partition,
-            strategy: strategy.to_string(),
-            sorted_runs: runs,
-            merge_fanin: fanin,
-        });
-    }
-
     /// Coordinator: record the buffer-layer ground truth for the query
     /// (deltas of the manager's spill/eviction counters over the run).
     pub fn set_spill_io(&self, written: u64, read: u64, retries: u64, evictions: u64) {
@@ -523,8 +446,6 @@ impl ProfileCollector {
         }
         let mut workers = self.workers.lock().clone();
         workers.sort_by_key(|w| w.worker);
-        let mut partition_merges = self.partition_merges.lock().clone();
-        partition_merges.sort_by_key(|m| m.partition);
         QueryProfile {
             operator: operator.into(),
             threads: self.threads.load(Ordering::Relaxed),
@@ -538,9 +459,6 @@ impl ProfileCollector {
             ht_resets: self.ht_resets.load(Ordering::Relaxed),
             partitions: self.partitions.load(Ordering::Relaxed),
             partitions_external: self.partitions_external.load(Ordering::Relaxed),
-            sorted_runs: self.sorted_runs.load(Ordering::Relaxed),
-            merge_fanin: self.merge_fanin.load(Ordering::Relaxed),
-            partition_merges,
             spill_bytes_written: self.spill_bytes_written.load(Ordering::Relaxed),
             spill_bytes_read: self.spill_bytes_read.load(Ordering::Relaxed),
             spill_retries: self.spill_retries.load(Ordering::Relaxed),
@@ -668,9 +586,9 @@ mod tests {
         c.record_worker(w0, Duration::from_millis(10), 3, 40);
         c.record_worker_resets(w0, 4);
         c.record_worker(w0, Duration::from_millis(1), 1, 2);
-        c.set_strategy("adaptive:shared");
+        c.set_strategy("instream");
         let p = c.finish("x", Duration::ZERO);
-        assert_eq!(p.strategy, "adaptive:shared");
+        assert_eq!(p.strategy, "instream");
         assert_eq!(p.workers.len(), 2);
         assert_eq!(p.workers[0].worker, 0);
         assert_eq!(p.workers[0].busy, Duration::from_millis(11));
@@ -680,7 +598,7 @@ mod tests {
         assert_eq!(p.workers[1].worker, 1);
         assert_eq!(p.workers[1].ht_resets, 0);
         let report = p.render();
-        assert!(report.contains("strategy=adaptive:shared"), "{report}");
+        assert!(report.contains("strategy=instream"), "{report}");
         assert!(
             report.contains("worker 0  busy 0.011s  morsels 4  chunks 42  ht_resets 4"),
             "{report}"
@@ -688,26 +606,17 @@ mod tests {
     }
 
     #[test]
-    fn render_orders_phases_and_shows_partition_strategies() {
+    fn render_orders_phases() {
         let c = ProfileCollector::new();
         // Touch phases out of pipeline order: render must still print them
-        // probe → partition → sort → merge → finalize.
+        // probe → partition → merge → finalize.
         c.add_busy_to(Phase::Merge, Duration::from_millis(3));
-        c.add_busy_to(Phase::Sort, Duration::from_millis(1));
+        c.add_busy_to(Phase::Finalize, Duration::from_millis(1));
         c.add_busy_to(Phase::Probe, Duration::from_millis(2));
-        c.add_sorted_runs(5);
-        c.record_partition_merge(3, "sorted_merge", 3, 3);
-        c.record_partition_merge(1, "hash", 0, 0);
-        let p = c.finish("x", Duration::ZERO);
-        assert_eq!(p.sorted_runs, 5);
-        assert_eq!(p.merge_fanin, 3);
-        assert_eq!(p.partition_merges.len(), 2);
-        assert_eq!(p.partition_merges[0].partition, 1, "sorted by partition");
-        let r = p.render();
+        let r = c.finish("x", Duration::ZERO).render();
         let positions: Vec<usize> = [
             "phase 1 · probe",
             "partition/spill",
-            "run sort",
             "phase 2 · merge",
             "finalize/emit",
         ]
@@ -720,12 +629,6 @@ mod tests {
         assert!(
             positions.windows(2).all(|w| w[0] < w[1]),
             "phase rows out of order:\n{r}"
-        );
-        assert!(r.contains("sorted_runs 5  merge_fanin 3"), "{r}");
-        assert!(r.contains("strategies  hash 1  sorted_merge 1"), "{r}");
-        assert!(
-            r.contains("partition 3  sorted_merge  runs 3  fanin 3"),
-            "{r}"
         );
     }
 

@@ -32,14 +32,21 @@ pub use temp_file::{SlotId, TempFileManager, VarId};
 /// default.
 pub const DEFAULT_PAGE_SIZE: usize = 1 << 18;
 
+/// Name a process-unique scratch directory under the system temp dir,
+/// without creating it: whoever first writes there creates it (and reports
+/// the error if it cannot).
+pub fn scratch_path(label: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("rexa-{label}-{}-{n}", std::process::id()))
+}
+
 /// Create a process-unique scratch directory under the system temp dir.
 /// Used by tests, examples, and the benchmark harness for database and
 /// spill files.
 pub fn scratch_dir(label: &str) -> std::io::Result<std::path::PathBuf> {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("rexa-{label}-{}-{n}", std::process::id()));
+    let dir = scratch_path(label);
     std::fs::create_dir_all(&dir)?;
     Ok(dir)
 }

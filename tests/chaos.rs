@@ -21,9 +21,7 @@
 use proptest::prelude::*;
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::simple::{reference_aggregate, sorted_rows};
-use rexa_core::{
-    hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan, Phase1Strategy,
-};
+use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::{ChunkCollection, DataChunk, Error, LogicalType, Value, VECTOR_SIZE};
 use rexa_obs::{EventTrace, MetricsRegistry, TraceEventKind};
@@ -49,8 +47,6 @@ struct ChaosCase {
     rows: Vec<(i64, i64)>,
     threads: usize,
     radix_bits: u32,
-    /// Phase-1 strategy forced on the run (Adaptive = let the operator pick).
-    strategy: Phase1Strategy,
     limit_kib: usize,
     /// Background I/O writer threads (0 = the fully synchronous path).
     io_writers: usize,
@@ -97,15 +93,7 @@ fn case_strategy() -> impl Strategy<Value = ChaosCase> {
         1i64..400,    // key domain
         0usize..3000, // rows
         1usize..6,    // threads
-        // radix bits and the forced phase-1 strategy
-        (
-            0u32..4,
-            prop::sample::select(vec![
-                Phase1Strategy::Adaptive,
-                Phase1Strategy::ThreadLocal,
-                Phase1Strategy::Shared,
-            ]),
-        ),
+        0u32..4,      // radix bits
         // memory limit KiB (tight enough to spill often) and background I/O
         // writers (0 = synchronous)
         (48usize..768, 0usize..3),
@@ -113,42 +101,23 @@ fn case_strategy() -> impl Strategy<Value = ChaosCase> {
         prop::collection::vec(rule_strategy(), 1..4),
     )
         .prop_flat_map(
-            |(
-                key_type,
-                domain,
-                n_rows,
-                threads,
-                (radix_bits, strategy),
-                (limit_kib, writers),
-                seed,
-                rules,
-            )| {
+            |(key_type, domain, n_rows, threads, radix_bits, (limit_kib, writers), seed, rules)| {
                 (
                     prop::collection::vec((0..domain, -1000i64..1000), n_rows),
                     Just((
-                        key_type, threads, radix_bits, strategy, limit_kib, writers, seed, rules,
+                        key_type, threads, radix_bits, limit_kib, writers, seed, rules,
                     )),
                 )
                     .prop_map(
                         |(
                             rows,
-                            (
-                                key_type,
-                                threads,
-                                radix_bits,
-                                strategy,
-                                limit_kib,
-                                writers,
-                                seed,
-                                rules,
-                            ),
+                            (key_type, threads, radix_bits, limit_kib, writers, seed, rules),
                         )| {
                             ChaosCase {
                                 key_type,
                                 rows,
                                 threads,
                                 radix_bits,
-                                strategy,
                                 limit_kib,
                                 io_writers: writers,
                                 injector_seed: seed,
@@ -287,8 +256,7 @@ proptest! {
             ht_capacity: 4 * VECTOR_SIZE,
             output_chunk_size: VECTOR_SIZE,
             reset_fill_percent: 66,
-            phase1_strategy: case.strategy,
-        ..Default::default()
+            ..Default::default()
         };
         let plan = plan();
         let source = CollectionSource::new(&coll);
@@ -626,108 +594,83 @@ fn torn_spill_writes_never_corrupt_results() {
 }
 
 /// The disk fills up mid-phase-1 at four threads (every spill write from the
-/// `nth` one onward hits ENOSPC), for every phase-1 strategy: the triggering
-/// query fails with `Error::SpillFailed` (never a panic, a hang in the
-/// per-partition handoff, or a masking `Cancelled`), the buffer manager's
+/// `nth` one onward hits ENOSPC): the triggering query fails with
+/// `Error::SpillFailed` (never a panic, a hang in the per-partition
+/// handoff, or a masking `Cancelled`), the buffer manager's
 /// accounting returns to its pre-query baseline, and the very same manager
 /// then serves a fault-free run of the same spilling workload — the fault
 /// aborted only the query that hit it.
 #[test]
 fn mid_phase1_enospc_at_four_threads_aborts_only_that_query() {
-    for strategy in [
-        Phase1Strategy::ThreadLocal,
-        Phase1Strategy::Shared,
-        Phase1Strategy::Adaptive,
-    ] {
-        for nth in [0u64, 5, 17] {
-            let registry = MetricsRegistry::new();
-            let trace = EventTrace::with_default_capacity();
-            let injector = Arc::new(
-                FaultInjector::new(0xFA11 ^ nth)
-                    .with_metrics(&registry)
-                    .with_trace(trace.clone())
-                    .rule(FaultRule::on(
-                        IoOp::Write,
-                        Schedule::After(nth),
-                        FaultKind::Enospc,
-                    )),
-            );
-            // 2.25 MiB: above the 4-thread pinned floor for *every* strategy
-            // (the shared path pins an index plus the canonical partitions on
-            // top of the thread-local floor), so the first overflow finds an
-            // evictable page and the injected ENOSPC surfaces as SpillFailed
-            // rather than a pinned-everything OOM.
-            let mgr = chaos_mgr(2304, 0, &injector, &registry, &trace);
-            let baseline = mgr.stats();
-            let plan = plan();
-            let config = AggregateConfig {
-                threads: 4,
-                radix_bits: Some(5),
-                ht_capacity: 4 * VECTOR_SIZE,
-                output_chunk_size: VECTOR_SIZE,
-                reset_fill_percent: 66,
-                phase1_strategy: strategy,
-                ..Default::default()
-            };
-            // All-distinct keys: several MiB of intermediates under a 1.5 MiB
-            // limit, so phase 1 must spill early and often — the Nth write is
-            // well inside phase 1's flush traffic.
-            let rows: Vec<Vec<Value>> = (0..100_000)
-                .map(|i| vec![Value::Int64(i), Value::Int64(i * 3)])
-                .collect();
-            let coll = collection_from_rows(&[LogicalType::Int64, LogicalType::Int64], &rows);
-            let source = CollectionSource::new(&coll);
-            let err = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
-                .expect_err("one spill write fails mid-phase-1; the query must abort");
-            match &err {
-                Error::SpillFailed {
-                    source, retries, ..
-                } => {
-                    assert_eq!(
-                        source.raw_os_error(),
-                        Some(28),
-                        "{strategy:?}/nth={nth}: {err}"
-                    );
-                    assert_eq!(*retries, 0, "ENOSPC must not be retried");
-                }
-                other => panic!("{strategy:?}/nth={nth}: expected SpillFailed, got {other}"),
+    for nth in [0u64, 5, 17] {
+        let registry = MetricsRegistry::new();
+        let trace = EventTrace::with_default_capacity();
+        let injector = Arc::new(
+            FaultInjector::new(0xFA11 ^ nth)
+                .with_metrics(&registry)
+                .with_trace(trace.clone())
+                .rule(FaultRule::on(
+                    IoOp::Write,
+                    Schedule::After(nth),
+                    FaultKind::Enospc,
+                )),
+        );
+        // 2.25 MiB: above the 4-thread pinned floor, so the first overflow
+        // finds an evictable page and the injected ENOSPC surfaces as SpillFailed
+        // rather than a pinned-everything OOM.
+        let mgr = chaos_mgr(2304, 0, &injector, &registry, &trace);
+        let baseline = mgr.stats();
+        let plan = plan();
+        let config = AggregateConfig {
+            threads: 4,
+            radix_bits: Some(5),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: VECTOR_SIZE,
+            reset_fill_percent: 66,
+            ..Default::default()
+        };
+        // All-distinct keys: several MiB of intermediates under a 1.5 MiB
+        // limit, so phase 1 must spill early and often — the Nth write is
+        // well inside phase 1's flush traffic.
+        let rows: Vec<Vec<Value>> = (0..100_000)
+            .map(|i| vec![Value::Int64(i), Value::Int64(i * 3)])
+            .collect();
+        let coll = collection_from_rows(&[LogicalType::Int64, LogicalType::Int64], &rows);
+        let source = CollectionSource::new(&coll);
+        let err = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
+            .expect_err("one spill write fails mid-phase-1; the query must abort");
+        match &err {
+            Error::SpillFailed {
+                source, retries, ..
+            } => {
+                assert_eq!(source.raw_os_error(), Some(28), "nth={nth}: {err}");
+                assert_eq!(*retries, 0, "ENOSPC must not be retried");
             }
-            // One worker hit the fault; the other three unwound through the
-            // handoff (fail flag + notified ready queue) and everything was
-            // rolled back.
-            let s = mgr.stats();
-            assert_eq!(
-                s.temporary_resident, 0,
-                "{strategy:?}/nth={nth}: leaked pages {s:?}"
-            );
-            assert_eq!(
-                s.non_paged, 0,
-                "{strategy:?}/nth={nth}: leaked reservation {s:?}"
-            );
-            assert_eq!(
-                s.temp_bytes_on_disk, 0,
-                "{strategy:?}/nth={nth}: leaked spill {s:?}"
-            );
-            assert_eq!(mgr.temp_slots_in_use(), 0, "{strategy:?}/nth={nth}");
-            assert_eq!(
-                s.memory_used, baseline.memory_used,
-                "{strategy:?}/nth={nth}"
-            );
-
-            // "Aborts only the triggering query": the same manager runs the
-            // same spilling workload to completion once the disk recovers.
-            injector.set_enabled(false);
-            mgr.set_memory_limit(5 << 19); // 2.5 MiB: still spills
-            let source = CollectionSource::new(&coll);
-            let (out, stats) = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
-                .unwrap_or_else(|e| panic!("{strategy:?}/nth={nth}: follow-up failed: {e}"));
-            assert_eq!(stats.groups, 100_000, "{strategy:?}/nth={nth}");
-            assert_eq!(
-                out.chunks().iter().map(|c| c.len()).sum::<usize>(),
-                100_000,
-                "{strategy:?}/nth={nth}"
-            );
+            other => panic!("nth={nth}: expected SpillFailed, got {other}"),
         }
+        // One worker hit the fault; the other three unwound through the
+        // handoff (fail flag + notified ready queue) and everything was
+        // rolled back.
+        let s = mgr.stats();
+        assert_eq!(s.temporary_resident, 0, "nth={nth}: leaked pages {s:?}");
+        assert_eq!(s.non_paged, 0, "nth={nth}: leaked reservation {s:?}");
+        assert_eq!(s.temp_bytes_on_disk, 0, "nth={nth}: leaked spill {s:?}");
+        assert_eq!(mgr.temp_slots_in_use(), 0, "nth={nth}");
+        assert_eq!(s.memory_used, baseline.memory_used, "nth={nth}");
+
+        // "Aborts only the triggering query": the same manager runs the
+        // same spilling workload to completion once the disk recovers.
+        injector.set_enabled(false);
+        mgr.set_memory_limit(5 << 19); // 2.5 MiB: still spills
+        let source = CollectionSource::new(&coll);
+        let (out, stats) = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
+            .unwrap_or_else(|e| panic!("nth={nth}: follow-up failed: {e}"));
+        assert_eq!(stats.groups, 100_000, "nth={nth}");
+        assert_eq!(
+            out.chunks().iter().map(|c| c.len()).sum::<usize>(),
+            100_000,
+            "nth={nth}"
+        );
     }
 }
 
@@ -739,68 +682,65 @@ fn mid_phase1_enospc_at_four_threads_aborts_only_that_query() {
 /// oracle's group count with nothing leaked.
 #[test]
 fn phase_handoff_terminates_under_latency_and_transient_faults() {
-    for strategy in [Phase1Strategy::ThreadLocal, Phase1Strategy::Shared] {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let registry = MetricsRegistry::new();
-            let trace = EventTrace::with_default_capacity();
-            let injector = Arc::new(
-                FaultInjector::new(0x51EE9)
-                    .with_metrics(&registry)
-                    .with_trace(trace.clone())
-                    .rule(FaultRule::on(
-                        IoOp::Write,
-                        Schedule::EveryNth(3),
-                        FaultKind::Latency(Duration::from_micros(800)),
-                    ))
-                    .rule(FaultRule::on(
-                        IoOp::Write,
-                        Schedule::EveryNth(7),
-                        FaultKind::Transient,
-                    )),
-            );
-            let mgr = chaos_mgr(1536, 1, &injector, &registry, &trace);
-            let plan = plan();
-            let config = AggregateConfig {
-                threads: 4,
-                radix_bits: Some(4),
-                ht_capacity: 4 * VECTOR_SIZE,
-                output_chunk_size: VECTOR_SIZE,
-                reset_fill_percent: 66,
-                phase1_strategy: strategy,
-                ..Default::default()
-            };
-            let rows: Vec<Vec<Value>> = (0..100_000)
-                .map(|i| vec![Value::Int64(i % 30_000), Value::Int64(i)])
-                .collect();
-            let coll = collection_from_rows(&[LogicalType::Int64, LogicalType::Int64], &rows);
-            let source = CollectionSource::new(&coll);
-            let res = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).map(
-                |(out, stats)| {
-                    (
-                        out.chunks().iter().map(|c| c.len()).sum::<usize>(),
-                        stats.groups,
-                    )
-                },
-            );
-            let s = mgr.stats();
-            let leftover = (
-                s.temporary_resident,
-                s.temp_bytes_on_disk,
-                mgr.temp_slots_in_use(),
-            );
-            tx.send((res, leftover)).ok();
-        });
-        let (res, leftover) = rx
-            .recv_timeout(Duration::from_secs(120))
-            .unwrap_or_else(|_| panic!("{strategy:?}: phase-handoff path hung"));
-        match res {
-            Ok((rows_out, groups)) => {
-                assert_eq!(groups, 30_000, "{strategy:?}");
-                assert_eq!(rows_out, 30_000, "{strategy:?}");
-            }
-            Err(e) => assert!(legal_failure(&e), "{strategy:?}: illegal error {e}"),
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let registry = MetricsRegistry::new();
+        let trace = EventTrace::with_default_capacity();
+        let injector = Arc::new(
+            FaultInjector::new(0x51EE9)
+                .with_metrics(&registry)
+                .with_trace(trace.clone())
+                .rule(FaultRule::on(
+                    IoOp::Write,
+                    Schedule::EveryNth(3),
+                    FaultKind::Latency(Duration::from_micros(800)),
+                ))
+                .rule(FaultRule::on(
+                    IoOp::Write,
+                    Schedule::EveryNth(7),
+                    FaultKind::Transient,
+                )),
+        );
+        let mgr = chaos_mgr(1536, 1, &injector, &registry, &trace);
+        let plan = plan();
+        let config = AggregateConfig {
+            threads: 4,
+            radix_bits: Some(4),
+            ht_capacity: 4 * VECTOR_SIZE,
+            output_chunk_size: VECTOR_SIZE,
+            reset_fill_percent: 66,
+            ..Default::default()
+        };
+        let rows: Vec<Vec<Value>> = (0..100_000)
+            .map(|i| vec![Value::Int64(i % 30_000), Value::Int64(i)])
+            .collect();
+        let coll = collection_from_rows(&[LogicalType::Int64, LogicalType::Int64], &rows);
+        let source = CollectionSource::new(&coll);
+        let res = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).map(
+            |(out, stats)| {
+                (
+                    out.chunks().iter().map(|c| c.len()).sum::<usize>(),
+                    stats.groups,
+                )
+            },
+        );
+        let s = mgr.stats();
+        let leftover = (
+            s.temporary_resident,
+            s.temp_bytes_on_disk,
+            mgr.temp_slots_in_use(),
+        );
+        tx.send((res, leftover)).ok();
+    });
+    let (res, leftover) = rx
+        .recv_timeout(Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("phase-handoff path hung"));
+    match res {
+        Ok((rows_out, groups)) => {
+            assert_eq!(groups, 30_000);
+            assert_eq!(rows_out, 30_000);
         }
-        assert_eq!(leftover, (0, 0, 0), "{strategy:?}: leaked state");
+        Err(e) => assert!(legal_failure(&e), "illegal error {e}"),
     }
+    assert_eq!(leftover, (0, 0, 0), "leaked state");
 }

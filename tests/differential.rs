@@ -11,7 +11,7 @@ use rexa_core::baselines::sort_aggregate;
 use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{
     hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan, KernelMode,
-    Phase1Strategy, Phase2Strategy, SortedInput,
+    SortedInput,
 };
 use rexa_exec::pipeline::{CancelToken, CollectionSource};
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, VECTOR_SIZE};
@@ -384,14 +384,13 @@ proptest! {
         }
     }
 
-    /// Sorted input under the forced `SortedMerge` phase 2, across thread
-    /// counts and under the case's (possibly spilling) memory limit: same
-    /// groups as the reference model, float-tolerant (multi-thread combine
-    /// order is scheduling-dependent), and never any residue — including
-    /// when the layout has var-length columns or spill health forces the
-    /// per-partition chooser back onto the hash path.
+    /// Sorted input on the in-stream phase-1 path, across thread counts and
+    /// under the case's (possibly spilling) memory limit: same groups as the
+    /// reference model, float-tolerant (multi-thread combine order is
+    /// scheduling-dependent), and never any residue — including when the
+    /// layout has var-length columns.
     #[test]
-    fn sorted_merge_matches_reference_model(case in case_strategy()) {
+    fn instream_spilling_matches_reference_model(case in case_strategy()) {
         let mut case = case;
         sort_rows_by_group(&mut case);
         let coll = build_collection(&case);
@@ -406,7 +405,7 @@ proptest! {
             let mgr = BufferManager::new(
                 BufferManagerConfig::with_limit(case.limit_kib << 10)
                     .page_size(4 << 10)
-                    .temp_dir(scratch_dir("sorted-merge").unwrap()),
+                    .temp_dir(scratch_dir("instream-spill").unwrap()),
             )
             .unwrap();
             let config = AggregateConfig {
@@ -416,7 +415,6 @@ proptest! {
                 output_chunk_size: 777,
                 reset_fill_percent: 66,
                 sorted_input: SortedInput::Sorted,
-                phase2_strategy: Phase2Strategy::SortedMerge,
                 ..Default::default()
             };
             let source = CollectionSource::new(&coll);
@@ -431,6 +429,7 @@ proptest! {
                         want.len()
                     );
                     prop_assert_eq!(stats.groups, want.len());
+                    prop_assert_eq!(stats.profile.strategy, "instream");
                 }
                 Err(e) if e.is_oom() => {}
                 Err(e) => prop_assert!(false, "threads={threads}: unexpected error: {e}"),
@@ -441,15 +440,13 @@ proptest! {
     }
 }
 
-/// Chaos: a sorted-run spill whose very first write hits an injected
-/// transient fault mid-run-write. The write is retried and succeeds, but
-/// the retry marks spill health dirty, so the per-partition chooser must
-/// degrade every partition to the hash path — the query still succeeds
-/// with correct results and no residue. The degradation must not poison
-/// the manager: a second, fault-free run of the same query on the same
-/// manager goes back to merging sorted runs.
+/// Chaos: an in-stream run whose very first spill write hits an injected
+/// transient fault. The write is retried and succeeds, so the query
+/// completes exactly, and it leaves no pins, reservation bytes, temp bytes
+/// or temp slots behind. The fault does not poison the manager: the next
+/// query on the same manager is exact and needs no retry.
 #[test]
-fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
+fn instream_spill_fault_leaves_no_residue_and_next_query_is_exact() {
     let injector = Arc::new(FaultInjector::new(0x50F7).rule(FaultRule::on(
         IoOp::Write,
         Schedule::Nth(0),
@@ -458,7 +455,7 @@ fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(1536 << 10)
             .page_size(4 << 10)
-            .temp_dir(scratch_dir("run-fault").unwrap())
+            .temp_dir(scratch_dir("instream-fault").unwrap())
             .io_backend(Arc::clone(&injector) as Arc<dyn IoBackend>)
             .spill_backoff(std::time::Duration::from_micros(200)),
     )
@@ -477,12 +474,11 @@ fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
         radix_bits: Some(5),
         ht_capacity: 4 * VECTOR_SIZE,
         sorted_input: SortedInput::Sorted,
-        phase2_strategy: Phase2Strategy::SortedMerge,
         ..Default::default()
     };
-    // Sorted keys, ~4 rows per group, heapless layout: ~100k groups of
-    // intermediate state against a 1.5 MiB limit, so sorted-run spilling is
-    // mandatory and the first spilled page hits the fault.
+    // Sorted keys, ~4 rows per group: ~100k groups of intermediate state
+    // against a 1.5 MiB limit, so spilling is mandatory and the first
+    // spilled page hits the fault.
     let types = vec![LogicalType::Int64, LogicalType::Int64];
     let mut coll = ChunkCollection::new(types.clone());
     let rows: Vec<Vec<Value>> = (0..400_000i64)
@@ -498,54 +494,40 @@ fn sorted_run_spill_fault_degrades_to_hash_without_poisoning() {
     let source = CollectionSource::new(&coll);
     let want =
         reference_aggregate(&source, coll.types(), &plan.group_cols, &plan.aggregates).unwrap();
+    let assert_clean = || {
+        let s = mgr.stats();
+        assert_eq!(s.memory_used, 0, "leaked pins or reservations: {s:?}");
+        assert_eq!(s.non_paged, 0, "leaked reservation bytes: {s:?}");
+        assert_eq!(s.temp_bytes_on_disk, 0, "leaked spill bytes: {s:?}");
+        assert_eq!(mgr.temp_slots_in_use(), 0, "leaked temp slot");
+    };
 
     let source = CollectionSource::new(&coll);
     let (out, stats) = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config)
-        .expect("a retried transient run-write fault must degrade, not fail");
+        .expect("a retried transient spill fault must not fail the query");
     assert!(injector.injected() > 0, "fault never fired");
     assert!(
-        mgr.stats().spill_retries > 0,
+        stats.buffer.spill_retries > 0,
         "expected the transient fault to cost a spill retry"
     );
+    assert_eq!(stats.profile.strategy, "instream");
     assert_eq!(stats.groups, want.len());
     assert_eq!(sorted_rows(out.chunks()), want);
-    assert!(
-        !stats.profile.partition_merges.is_empty(),
-        "no partitions merged"
-    );
-    assert!(
-        stats
-            .profile
-            .partition_merges
-            .iter()
-            .all(|p| p.strategy == "hash"),
-        "dirty spill health must degrade every partition to hash: {:?}",
-        stats.profile.partition_merges
-    );
-    assert_eq!(mgr.stats().temporary_resident, 0);
-    assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
+    assert_clean();
 
-    // Non-poisoning: the one-shot fault is spent, and the retry baseline is
-    // per-query, so the same query on the same manager merges sorted runs.
+    // The one-shot fault is spent: the same query on the same manager is
+    // exact and clean.
     let source = CollectionSource::new(&coll);
     let (out2, stats2) =
         hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
     assert_eq!(sorted_rows(out2.chunks()), want);
-    assert!(
-        stats2
-            .profile
-            .partition_merges
-            .iter()
-            .all(|p| p.strategy == "sorted_merge"),
-        "fault-free rerun must return to sorted-run merging: {:?}",
-        stats2.profile.partition_merges
-    );
-    assert_eq!(mgr.stats().temporary_resident, 0);
-    assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
+    assert_eq!(stats2.buffer.spill_retries, 0);
+    assert!(stats2.buffer.temp_bytes_written > 0, "rerun must spill too");
+    assert_clean();
 }
 
 /// Number of proptest cases for the (more expensive) multi-thread sweep:
-/// every case runs at three thread counts times two forced strategies, so
+/// every case runs at three thread counts, so
 /// CI trims it via `PROPTEST_CASES` while local runs get a fuller sweep.
 fn sweep_cases() -> u32 {
     std::env::var("PROPTEST_CASES")
@@ -558,8 +540,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(sweep_cases()))]
 
     /// Many-core correctness: every generated workload also runs at
-    /// threads ∈ {2, 4, 8} — under its (possibly spilling) memory limit and
-    /// with *both* phase-1 strategies forced on — and must reproduce the
+    /// threads ∈ {2, 4, 8} — under its (possibly spilling) memory limit —
+    /// and must reproduce the
     /// single-thread oracle: exact equality for integer/string aggregates,
     /// `total_cmp`-sorted order with float tolerance for the rest.
     #[test]
@@ -592,43 +574,36 @@ proptest! {
         let oracle = sorted_rows(out.chunks());
 
         for threads in [2usize, 4, 8] {
-            for strategy in [Phase1Strategy::ThreadLocal, Phase1Strategy::Shared] {
-                let mgr = BufferManager::new(
-                    BufferManagerConfig::with_limit(case.limit_kib << 10)
-                        .page_size(4 << 10)
-                        .temp_dir(scratch_dir("mt-sweep").unwrap()),
-                )
-                .unwrap();
-                let config = AggregateConfig {
-                    threads,
-                    phase1_strategy: strategy,
-                    ..base.clone()
-                };
-                let source = CollectionSource::new(&coll);
-                let result = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config);
-                match result {
-                    Ok((out, stats)) => {
-                        let got = sorted_rows(out.chunks());
-                        prop_assert!(
-                            rows_approx_eq(&got, &oracle),
-                            "threads={threads} strategy={strategy:?}: got {} want {}",
-                            got.len(),
-                            oracle.len()
-                        );
-                        prop_assert_eq!(stats.groups, oracle_stats.groups);
-                    }
-                    // A tight limit may legally reject the run (the forced
-                    // shared index or pinned working set cannot fit) — but
-                    // never with residue.
-                    Err(e) if e.is_oom() => {}
-                    Err(e) => prop_assert!(
-                        false,
-                        "threads={threads} strategy={strategy:?}: unexpected error: {e}"
-                    ),
+            let mgr = BufferManager::new(
+                BufferManagerConfig::with_limit(case.limit_kib << 10)
+                    .page_size(4 << 10)
+                    .temp_dir(scratch_dir("mt-sweep").unwrap()),
+            )
+            .unwrap();
+            let config = AggregateConfig {
+                threads,
+                ..base.clone()
+            };
+            let source = CollectionSource::new(&coll);
+            let result = hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config);
+            match result {
+                Ok((out, stats)) => {
+                    let got = sorted_rows(out.chunks());
+                    prop_assert!(
+                        rows_approx_eq(&got, &oracle),
+                        "threads={threads}: got {} want {}",
+                        got.len(),
+                        oracle.len()
+                    );
+                    prop_assert_eq!(stats.groups, oracle_stats.groups);
                 }
-                prop_assert_eq!(mgr.stats().temporary_resident, 0);
-                prop_assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
+                // A tight limit may legally reject the run (the pinned
+                // working set cannot fit) — but never with residue.
+                Err(e) if e.is_oom() => {}
+                Err(e) => prop_assert!(false, "threads={threads}: unexpected error: {e}"),
             }
+            prop_assert_eq!(mgr.stats().temporary_resident, 0);
+            prop_assert_eq!(mgr.stats().temp_bytes_on_disk, 0);
         }
     }
 }
@@ -686,7 +661,7 @@ fn operator_is_deterministic_under_odd_geometry() {
 /// finalized results (integer aggregates: exact, so scheduling-dependent
 /// merge orders cannot hide behind float tolerance) and identical group
 /// counts — at every thread count, with the per-partition handoff deciding
-/// merge order dynamically, and under both forced phase-1 strategies.
+/// merge order dynamically.
 #[test]
 fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
     let case = Case {
@@ -715,37 +690,34 @@ fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
             AggregateSpec::max(1),
         ],
     };
-    for strategy in [Phase1Strategy::ThreadLocal, Phase1Strategy::Shared] {
-        for threads in [1usize, 2, 4, 8] {
-            let run = || {
-                let mgr = BufferManager::new(
-                    BufferManagerConfig::with_limit(case.limit_kib << 10)
-                        .page_size(4 << 10)
-                        .temp_dir(scratch_dir("det-threads").unwrap()),
-                )
-                .unwrap();
-                let config = AggregateConfig {
-                    threads,
-                    radix_bits: Some(case.radix_bits),
-                    ht_capacity: 4 * VECTOR_SIZE,
-                    output_chunk_size: 901,
-                    reset_fill_percent: 66,
-                    phase1_strategy: strategy,
-                    ..Default::default()
-                };
-                let source = CollectionSource::new(&coll);
-                let (out, stats) =
-                    hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
-                (sorted_rows(out.chunks()), stats.groups)
+    for threads in [1usize, 2, 4, 8] {
+        let run = || {
+            let mgr = BufferManager::new(
+                BufferManagerConfig::with_limit(case.limit_kib << 10)
+                    .page_size(4 << 10)
+                    .temp_dir(scratch_dir("det-threads").unwrap()),
+            )
+            .unwrap();
+            let config = AggregateConfig {
+                threads,
+                radix_bits: Some(case.radix_bits),
+                ht_capacity: 4 * VECTOR_SIZE,
+                output_chunk_size: 901,
+                reset_fill_percent: 66,
+                ..Default::default()
             };
-            let (rows_a, groups_a) = run();
-            let (rows_b, groups_b) = run();
-            assert_eq!(
-                rows_a, rows_b,
-                "nondeterministic results at threads={threads} strategy={strategy:?}"
-            );
-            assert_eq!(groups_a, groups_b);
-            assert_eq!(groups_a, 400);
-        }
+            let source = CollectionSource::new(&coll);
+            let (out, stats) =
+                hash_aggregate_collect(&mgr, &source, coll.types(), &plan, &config).unwrap();
+            (sorted_rows(out.chunks()), stats.groups)
+        };
+        let (rows_a, groups_a) = run();
+        let (rows_b, groups_b) = run();
+        assert_eq!(
+            rows_a, rows_b,
+            "nondeterministic results at threads={threads}"
+        );
+        assert_eq!(groups_a, groups_b);
+        assert_eq!(groups_a, 400);
     }
 }
