@@ -36,8 +36,6 @@ PROFILE_KEYS = {
     "spill_bytes_written": int,
     "spill_bytes_read": int,
     "evictions": int,
-    "readahead_hits": int,
-    "readahead_misses": int,
     "io_overlap_secs": float,
     # Phase-1 path the run took: "thread_local" or "instream".
     "strategy": str,

@@ -7,7 +7,7 @@ shape down: well-formed trace events, balanced async begin/end pairs,
 worker-thread metadata present, and — for a spilling run — at least one
 async I/O span overlapping a compute span on a different track, which is
 the visual the tracing subsystem exists to show (background spill writes
-and read-ahead running under the probe/merge).
+running under the probe/merge).
 
 Usage: check_trace_json.py <path-to-trace.json> [--no-overlap]
                            [--require-span NAME]...

@@ -44,7 +44,7 @@ use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::pool::ExecContext;
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
 use rexa_sql::Catalog;
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -199,7 +199,7 @@ fn wide_multi_key(rows: usize) -> Workload {
 /// makes the shape I/O-bound (most of the wall time is moving partition
 /// bytes, not hashing), which is the regime the paper's overlap argument
 /// is about. Measured sync (no background I/O) vs async (background spill
-/// writers + phase-2 read-ahead), both vectorized.
+/// writers), both vectorized.
 fn external(rows: usize) -> Workload {
     let mut coll = ChunkCollection::new(vec![
         LogicalType::Int64,
@@ -445,7 +445,7 @@ fn sql_parity_check(w: &Workload) {
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(1 << 30)
             .page_size(64 << 10)
-            .temp_dir(scratch_dir("agghot").unwrap()),
+            .temp_dir(scratch_path("agghot")),
     )
     .unwrap();
     let chunks = std::sync::Mutex::new(Vec::<DataChunk>::new());
@@ -489,7 +489,6 @@ struct PoolSetup {
     mem_limit: usize,
     page_size: usize,
     io_writers: usize,
-    readahead_depth: usize,
     radix_bits: Option<u32>,
     /// O_DIRECT spill file: expose the device's real I/O latency instead
     /// of measuring page-cache memcpy speed. Set for both external modes so
@@ -506,7 +505,6 @@ impl PoolSetup {
             mem_limit: 1 << 30,
             page_size: 64 << 10,
             io_writers: 0,
-            readahead_depth: 0,
             radix_bits: None,
             direct_io: false,
             sorted_input: SortedInput::Detect,
@@ -525,7 +523,7 @@ fn measure(
         BufferManagerConfig::with_limit(setup.mem_limit)
             .page_size(setup.page_size)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("agghot").unwrap())
+            .temp_dir(scratch_path("agghot"))
             .io_writers(setup.io_writers)
             .temp_direct_io(setup.direct_io),
     )
@@ -533,7 +531,6 @@ fn measure(
     let config = AggregateConfig {
         threads,
         kernel_mode: mode,
-        readahead_depth: setup.readahead_depth,
         radix_bits: setup.radix_bits,
         sorted_input: setup.sorted_input,
         ..Default::default()
@@ -569,7 +566,7 @@ fn measure(
 
 /// `--trace-out`: one extra traced run of the external workload with the
 /// background I/O scheduler on, so the exported timeline shows spill writes
-/// and read-ahead overlapping compute. The run needs real spill traffic to
+/// overlapping compute. The run needs real spill traffic to
 /// be worth looking at, so it uses its own input floor (500k rows — the
 /// group state then exceeds the 16 MiB limit floor) rather than the smoke
 /// row count; small pages keep the probe's pinned write heads (threads x 64
@@ -587,14 +584,13 @@ fn trace_external_run(ext: &Workload, threads: usize, path: &str) {
         BufferManagerConfig::with_limit(limit)
             .page_size(16 << 10)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("agghot").unwrap())
+            .temp_dir(scratch_path("agghot"))
             .io_writers(2),
     )
     .unwrap();
     let config = AggregateConfig {
         threads,
         kernel_mode: KernelMode::Vectorized,
-        readahead_depth: 2,
         radix_bits: Some(6),
         // Small phase-1 tables: their live rows are pinned, and the traced
         // run's limit is tight by construction.
@@ -661,8 +657,7 @@ fn json_measurement(m: &Measurement) -> String {
          \"profile\": {{\"probe_busy_secs\": {:.6}, \"merge_busy_secs\": {:.6}, \
          \"finalize_busy_secs\": {:.6}, \"ht_resets\": {}, \"partitions\": {}, \
          \"partitions_external\": {}, \"spill_bytes_written\": {}, \
-         \"spill_bytes_read\": {}, \"evictions\": {}, \"readahead_hits\": {}, \
-         \"readahead_misses\": {}, \"io_overlap_secs\": {:.6}, \
+         \"spill_bytes_read\": {}, \"evictions\": {}, \"io_overlap_secs\": {:.6}, \
          \"strategy\": \"{}\", \"workers\": [{}]}}}}",
         m.phase1_secs,
         m.phase2_secs,
@@ -680,8 +675,6 @@ fn json_measurement(m: &Measurement) -> String {
         p.spill_bytes_written,
         p.spill_bytes_read,
         p.evictions,
-        p.readahead_hits,
-        p.readahead_misses,
         io_overlap,
         p.strategy,
         workers,
@@ -840,22 +833,19 @@ fn main() {
     // overlap buys. The limit sits below the intermediate size (half the
     // input bytes) but above the operator's pinned floor, so spilling is
     // mandatory on real row counts while tiny CI smoke runs still complete.
-    // Over-partition (64 partitions) so each partition is a small fraction
-    // of the limit: phase 2's read-ahead window (current partition + depth)
-    // must fit in memory, or prefetched pages get evicted again before use.
+    // Over-partition (64 partitions): phase 2 pins a whole partition per
+    // merge, so each one must be a small fraction of the limit.
     let ext_limit = (ext.coll.approx_bytes() / 2).max(16 << 20);
     let sync_setup = PoolSetup {
         mem_limit: ext_limit,
         page_size: 64 << 10,
         io_writers: 0,
-        readahead_depth: 0,
         radix_bits: Some(6),
         direct_io: true,
         sorted_input: SortedInput::Detect,
     };
     let async_setup = PoolSetup {
         io_writers: 3,
-        readahead_depth: 2,
         ..sync_setup
     };
     let sync_m = measure(

@@ -10,7 +10,7 @@ use crate::manager::BufferManager;
 use crate::raw::RawBuffer;
 use parking_lot::Mutex;
 use rexa_storage::{BlockId, DatabaseFile, SlotId, VarId};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// What kind of data a block holds — determines spill behaviour and which
@@ -72,10 +72,6 @@ pub struct BlockHandle {
     /// with a stale sequence number are skipped (DuckDB's scheme for a
     /// lock-free LRU approximation).
     pub(crate) seq: AtomicU64,
-    /// Set when a background read-ahead loaded this block; consumed by the
-    /// next pin to classify it as a read-ahead hit (still loaded) or miss
-    /// (evicted again before use).
-    pub(crate) prefetched: AtomicBool,
     pub(crate) mgr: Weak<BufferManager>,
 }
 

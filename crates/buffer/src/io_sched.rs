@@ -1,28 +1,20 @@
-//! Background I/O scheduler: spill writes and read-ahead off the compute
-//! threads.
+//! Background spill writer: eviction writes off the compute threads.
 //!
 //! The paper's premise is that an SSD only delivers its bandwidth at queue
-//! depth: a single thread doing synchronous pwrite/pread per page leaves
-//! most of the device idle. The scheduler decouples I/O submission from the
-//! threads doing aggregation in both directions:
+//! depth: a single thread doing synchronous pwrite per page leaves most of
+//! the device idle. The reservation path submits victim blocks to a small
+//! writer pool instead of writing inline. The victim's bytes stay accounted
+//! to its category until the write durably completes — memory accounting
+//! never runs ahead of the disk. Write failures are *deferred*: the block
+//! keeps its buffer, is re-enqueued for eviction, and the typed
+//! [`SpillFailed`](rexa_exec::Error::SpillFailed) surfaces on the next
+//! foreground reservation or at [`BufferManager::drain_io`], preserving the
+//! retry/backoff and non-poisoning semantics of the synchronous path.
 //!
-//! * **Eviction spills become background writes.** The reservation path
-//!   submits victim blocks to a small writer pool instead of writing
-//!   inline. The victim's bytes stay accounted to its category until the
-//!   write durably completes — memory accounting never runs ahead of the
-//!   disk. Write failures are *deferred*: the block keeps its buffer, is
-//!   re-enqueued for eviction, and the typed
-//!   [`SpillFailed`](rexa_exec::Error::SpillFailed) surfaces on the next
-//!   foreground reservation or at [`BufferManager::drain_io`], preserving
-//!   the retry/backoff and non-poisoning semantics of the synchronous path.
-//! * **Phase-2 read-ahead.** [`BufferManager::prefetch`] admits a spilled
-//!   block's bytes (without evicting anything) and submits a background
-//!   read that leaves the block loaded-but-unpinned, so the merge worker's
-//!   `pin_all` is a residency hit instead of a serialized read.
-//!
-//! The in-flight write volume is bounded (`io_inflight_bytes`) so a burst
-//! of evictions cannot queue an unbounded amount of memory that the
-//! foreground believes is about to be freed.
+//! The in-flight write volume is bounded (`io_writers * 16 * page_size`) so
+//! a burst of evictions cannot queue an unbounded amount of memory that the
+//! foreground believes is about to be freed. Reloads are not scheduled
+//! here: a pin reads its block back synchronously.
 
 use crate::handle::BlockHandle;
 use crate::manager::BufferManager;
@@ -35,26 +27,16 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// One unit of background I/O. Jobs hold a strong handle so the block
-/// cannot be destroyed mid-I/O; the worker drops it *before* signalling
-/// completion, so "drained" implies every destroy side-effect has run.
-enum IoJob {
-    /// Write an evicted victim's buffer to temp storage.
-    SpillWrite(Arc<BlockHandle>),
-    /// Load a spilled block back into loaded-but-unpinned residency.
-    PrefetchRead(Arc<BlockHandle>),
-}
-
 struct SchedState {
-    /// Pending read-ahead loads. Served before writes: a late read is a
-    /// stalled merge worker, a late write only delays reclamation.
-    reads: VecDeque<IoJob>,
-    /// Pending spill writes.
-    writes: VecDeque<IoJob>,
+    /// Pending spill writes, one victim block each. A job holds a strong
+    /// handle so the block cannot be destroyed mid-write; the worker drops
+    /// it *before* signalling completion, so "drained" implies every
+    /// destroy side-effect has run.
+    writes: VecDeque<Arc<BlockHandle>>,
     /// Jobs popped by a worker but not yet completed.
     active: usize,
     /// Bytes of submitted-but-incomplete spill writes (the eviction path's
-    /// admission bound; reads are bounded by admission-only reservations).
+    /// admission bound).
     inflight_write_bytes: usize,
     /// Deferred background-write failures, surfaced on the next foreground
     /// reservation or drain.
@@ -71,7 +53,7 @@ struct SchedShared {
     queue_depth: Gauge,
 }
 
-/// Handle to the writer/reader pool, owned by the [`BufferManager`].
+/// Handle to the writer pool, owned by the [`BufferManager`].
 pub(crate) struct IoScheduler {
     shared: Arc<SchedShared>,
     inflight_limit: usize,
@@ -82,7 +64,7 @@ impl std::fmt::Debug for IoScheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.shared.state.lock();
         f.debug_struct("IoScheduler")
-            .field("queued", &(s.reads.len() + s.writes.len()))
+            .field("queued", &s.writes.len())
             .field("active", &s.active)
             .field("inflight_write_bytes", &s.inflight_write_bytes)
             .finish()
@@ -90,7 +72,7 @@ impl std::fmt::Debug for IoScheduler {
 }
 
 impl IoScheduler {
-    /// Spawn `writers` I/O worker threads. `mgr` must be the weak self
+    /// Spawn `writers` spill-writer threads. `mgr` must be the weak self
     /// reference of the owning manager (workers upgrade it per job, so the
     /// pool never keeps the manager alive).
     pub(crate) fn start(
@@ -101,7 +83,6 @@ impl IoScheduler {
     ) -> Self {
         let shared = Arc::new(SchedShared {
             state: Mutex::new(SchedState {
-                reads: VecDeque::new(),
                 writes: VecDeque::new(),
                 active: 0,
                 inflight_write_bytes: 0,
@@ -139,21 +120,11 @@ impl IoScheduler {
             return false;
         }
         s.inflight_write_bytes += bytes;
-        s.writes.push_back(IoJob::SpillWrite(handle));
+        s.writes.push_back(handle);
         self.shared.queue_depth.add(1);
         drop(s);
         self.shared.work_cv.notify_one();
         true
-    }
-
-    /// Submit a background read-ahead load. The caller has already admitted
-    /// the block's bytes.
-    pub(crate) fn submit_read(&self, handle: Arc<BlockHandle>) {
-        let mut s = self.shared.state.lock();
-        s.reads.push_back(IoJob::PrefetchRead(handle));
-        self.shared.queue_depth.add(1);
-        drop(s);
-        self.shared.work_cv.notify_one();
     }
 
     /// Take the deferred errors, returning the first. All are drained so a
@@ -169,7 +140,7 @@ impl IoScheduler {
     /// True while any job is queued or running.
     pub(crate) fn has_pending(&self) -> bool {
         let s = self.shared.state.lock();
-        !s.reads.is_empty() || !s.writes.is_empty() || s.active > 0
+        !s.writes.is_empty() || s.active > 0
     }
 
     /// The configured in-flight write byte bound.
@@ -181,7 +152,7 @@ impl IoScheduler {
     /// a short timeout so a missed wakeup degrades to a retry, not a hang.
     pub(crate) fn wait_event(&self) {
         let mut s = self.shared.state.lock();
-        if (s.reads.is_empty() && s.writes.is_empty() && s.active == 0) || !s.errors.is_empty() {
+        if (s.writes.is_empty() && s.active == 0) || !s.errors.is_empty() {
             return;
         }
         self.shared
@@ -192,7 +163,7 @@ impl IoScheduler {
     /// Wait until every submitted job has completed.
     pub(crate) fn drain(&self) {
         let mut s = self.shared.state.lock();
-        while !s.reads.is_empty() || !s.writes.is_empty() || s.active > 0 {
+        while !s.writes.is_empty() || s.active > 0 {
             self.shared
                 .done_cv
                 .wait_for(&mut s, Duration::from_millis(10));
@@ -217,12 +188,12 @@ fn worker_loop(shared: &SchedShared, mgr: &Weak<BufferManager>, idx: usize) {
     // failed `Weak` upgrade per job.
     let mut sbuf: Option<(u64, Arc<SpanBuffer>)> = None;
     loop {
-        let job = {
+        let handle = {
             let mut s = shared.state.lock();
             loop {
-                if let Some(job) = s.reads.pop_front().or_else(|| s.writes.pop_front()) {
+                if let Some(handle) = s.writes.pop_front() {
                     s.active += 1;
-                    break job;
+                    break handle;
                 }
                 if s.shutdown {
                     return;
@@ -230,61 +201,36 @@ fn worker_loop(shared: &SchedShared, mgr: &Weak<BufferManager>, idx: usize) {
                 shared.work_cv.wait(&mut s);
             }
         };
-        let write_bytes = match &job {
-            IoJob::SpillWrite(h) => Some(h.size()),
-            IoJob::PrefetchRead(_) => None,
-        };
+        let bytes = handle.size();
         // If the manager is gone (tear-down), the job is a no-op: the block
         // handles themselves are owned elsewhere and clean up on drop.
-        let err = match (mgr.upgrade(), &job) {
-            (None, _) => None,
-            (Some(m), job_ref) => {
-                let buf = m.span_collector().map(|sc| match &sbuf {
-                    Some((id, b)) if *id == sc.id() => Arc::clone(b),
-                    _ => {
-                        let b = sc.track(format!("io {idx}"));
-                        sbuf = Some((sc.id(), Arc::clone(&b)));
-                        b
-                    }
-                });
-                match job_ref {
-                    IoJob::SpillWrite(h) => {
-                        let t = buf.as_ref().map(|b| b.now_ns());
-                        let r = m.bg_spill(h);
-                        if let (Some(b), Some(t)) = (&buf, t) {
-                            b.complete_async(
-                                "spill_write",
-                                span_cat::IO,
-                                t,
-                                span::arg1("bytes", h.size() as u64),
-                            );
-                        }
-                        r
-                    }
-                    IoJob::PrefetchRead(h) => {
-                        let t = buf.as_ref().map(|b| b.now_ns());
-                        m.bg_prefetch(h);
-                        if let (Some(b), Some(t)) = (&buf, t) {
-                            b.complete_async(
-                                "readahead",
-                                span_cat::IO,
-                                t,
-                                span::arg1("bytes", h.size() as u64),
-                            );
-                        }
-                        None
-                    }
+        let err = mgr.upgrade().and_then(|m| {
+            let buf = m.span_collector().map(|sc| match &sbuf {
+                Some((id, b)) if *id == sc.id() => Arc::clone(b),
+                _ => {
+                    let b = sc.track(format!("io {idx}"));
+                    sbuf = Some((sc.id(), Arc::clone(&b)));
+                    b
                 }
+            });
+            let t = buf.as_ref().map(|b| b.now_ns());
+            let r = m.bg_spill(&handle);
+            if let (Some(b), Some(t)) = (&buf, t) {
+                b.complete_async(
+                    "spill_write",
+                    span_cat::IO,
+                    t,
+                    span::arg1("bytes", bytes as u64),
+                );
             }
-        };
+            r
+        });
         // Drop the strong handle before signalling: a foreground
         // drain-then-destroy must observe the destroy side-effects.
-        drop(job);
+        drop(handle);
         let mut s = shared.state.lock();
         s.active -= 1;
-        if let Some(b) = write_bytes {
-            s.inflight_write_bytes -= b;
-        }
+        s.inflight_write_bytes -= bytes;
         if let Some(e) = err {
             s.errors.push_back(e);
         }

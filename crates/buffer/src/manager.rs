@@ -10,7 +10,7 @@ use rexa_exec::{Error, Result};
 use rexa_obs::{Counter, EventTrace, MetricsRegistry, SpanCollector, TraceEventKind};
 use rexa_storage::{BlockId, DatabaseFile, IoBackend, StdIo, TempFileManager, DEFAULT_PAGE_SIZE};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -48,36 +48,32 @@ pub struct BufferManagerConfig {
     /// Event trace for slow-path forensics (spills, evictions,
     /// retry/backoff, degradation decisions). `None` disables tracing.
     pub trace: Option<EventTrace>,
-    /// Background I/O worker threads. `0` (the default) keeps every spill
-    /// and reload synchronous on the evicting/pinning thread. A positive
-    /// count turns eviction spills into background writes and enables
-    /// [`BufferManager::prefetch`] read-ahead.
+    /// Background spill writers. `0` (the default) keeps every spill
+    /// synchronous on the evicting thread. A positive count turns eviction
+    /// spills into background writes, at most `io_writers * 16 * page_size`
+    /// bytes of them in flight — deep enough that submission pipelines
+    /// instead of ping-ponging on the scheduler, shallow enough to bound
+    /// the memory held hostage by queued writes. Reloads stay synchronous
+    /// on the pinning thread.
     pub io_writers: usize,
-    /// Bound on bytes of spill writes submitted but not yet durably
-    /// complete (their reservations are still accounted). `0` (the
-    /// default) auto-sizes to `io_writers * 16 * page_size` — deep enough
-    /// that submission pipelines instead of ping-ponging on the scheduler,
-    /// shallow enough to bound the memory held hostage by queued writes.
-    /// One write is always admissible, so an oversized buffer cannot stall
-    /// eviction.
-    pub io_inflight_bytes: usize,
     /// Open the slotted temp spill file with direct I/O (`O_DIRECT` on
     /// Linux; buffered fallback elsewhere and on filesystems that reject
     /// it): spill writes and reloads go straight to the device instead of
     /// through the page cache. Spilled pages are re-read at most once, so
     /// double-buffering them (pool + page cache) wastes memory the limit
     /// is supposed to cap; direct I/O also exposes the device's real
-    /// latency — the cost the background writers (`io_writers`) and
-    /// phase-2 read-ahead take off the compute threads. Requires a page
-    /// size that is a multiple of 4 KiB. Default: off.
+    /// latency — the cost the background writers (`io_writers`) take off
+    /// the compute threads. Requires a page size that is a multiple of
+    /// 4 KiB. Default: off.
     pub temp_direct_io: bool,
 }
 
 impl BufferManagerConfig {
     /// A config with the given limit, default page size and policy, spilling
     /// into a fresh process-unique scratch directory. The directory is only
-    /// named here; [`BufferManager::new`] creates it, so a config whose
-    /// `temp_dir` is overridden leaves nothing under the system temp dir.
+    /// named here; [`BufferManager::new`] creates it (and dropping the
+    /// manager removes it again), so a config whose `temp_dir` is
+    /// overridden leaves nothing under the system temp dir.
     pub fn with_limit(memory_limit: usize) -> Self {
         BufferManagerConfig {
             memory_limit,
@@ -90,7 +86,6 @@ impl BufferManagerConfig {
             metrics: None,
             trace: None,
             io_writers: 0,
-            io_inflight_bytes: 0,
             temp_direct_io: false,
         }
     }
@@ -144,15 +139,9 @@ impl BufferManagerConfig {
         self
     }
 
-    /// Builder-style override of the background I/O worker count.
+    /// Builder-style override of the background spill-writer count.
     pub fn io_writers(mut self, writers: usize) -> Self {
         self.io_writers = writers;
-        self
-    }
-
-    /// Builder-style override of the in-flight background-write byte bound.
-    pub fn io_inflight_bytes(mut self, bytes: usize) -> Self {
-        self.io_inflight_bytes = bytes;
         self
     }
 
@@ -173,10 +162,7 @@ struct Counters {
     allocations: Counter,
     spill_retries: Counter,
     spill_failures: Counter,
-    readahead_hits: Counter,
-    readahead_misses: Counter,
     bg_write_nanos: Counter,
-    readahead_nanos: Counter,
 }
 
 impl Counters {
@@ -206,23 +192,10 @@ impl Counters {
                 "rexa_spill_failures_total",
                 "Spills abandoned with a typed SpillFailed error.",
             ),
-            readahead_hits: reg.counter(
-                "rexa_readahead_hits_total",
-                "Pins that found their block resident thanks to read-ahead.",
-            ),
-            readahead_misses: reg.counter(
-                "rexa_readahead_misses_total",
-                "Read-ahead attempts that did not help (no memory headroom, \
-                 read failure, or the page was evicted again before use).",
-            ),
             bg_write_nanos: reg.counter(
                 "rexa_bg_write_nanos_total",
                 "Nanoseconds spent in background spill writes (I/O overlapped \
                  with computation).",
-            ),
-            readahead_nanos: reg.counter(
-                "rexa_readahead_nanos_total",
-                "Nanoseconds spent in background read-ahead loads.",
             ),
         }
     }
@@ -245,6 +218,11 @@ fn cat_of(tag: BufferTag) -> MemCat {
     } else {
         MemCat::Persistent
     }
+}
+
+/// Whether a block in `state` may be evicted: unpinned and resident.
+fn is_evictable(handle: &BlockHandle, state: &Residency) -> bool {
+    handle.pins.load(Ordering::Acquire) == 0 && matches!(state, Residency::Loaded(_))
 }
 
 /// What one pass of the asynchronous eviction path achieved.
@@ -321,6 +299,9 @@ pub struct BufferManager {
     page_size: usize,
     accounting: Mutex<Accounting>,
     temp: TempFileManager,
+    /// Declared after `temp`, so the spill files are gone by the time it
+    /// removes the directory.
+    _spill_dir: CreatedDir,
     queues: EvictionQueues,
     counters: Counters,
     metrics: Arc<MetricsRegistry>,
@@ -330,8 +311,8 @@ pub struct BufferManager {
     /// Serializes eviction scans so concurrent reservations do not race each
     /// other through the queue and over-evict.
     evict_lock: Mutex<()>,
-    /// Background spill-writer / read-ahead pool; `None` keeps all I/O
-    /// synchronous (the default).
+    /// Background spill-writer pool; `None` keeps every spill synchronous
+    /// (the default).
     io_sched: Option<IoScheduler>,
     /// Span sink for the query currently tracing this manager's background
     /// I/O. Weak so a finished query's collector (and its buffers) is
@@ -353,6 +334,7 @@ impl BufferManager {
     pub fn new(config: BufferManagerConfig) -> Result<Arc<Self>> {
         assert!(config.page_size >= 64, "page size too small");
         let metrics = config.metrics.unwrap_or_default();
+        let spill_dir = CreatedDir((!config.temp_dir.exists()).then(|| config.temp_dir.clone()));
         let temp = TempFileManager::with_backend_and_metrics(
             config.temp_dir,
             config.page_size,
@@ -363,14 +345,9 @@ impl BufferManager {
         let counters = Counters::register(&metrics);
         Ok(Arc::new_cyclic(|weak| {
             let io_sched = (config.io_writers > 0).then(|| {
-                let inflight = if config.io_inflight_bytes > 0 {
-                    config.io_inflight_bytes
-                } else {
-                    config.io_writers * 16 * config.page_size
-                };
                 IoScheduler::start(
                     config.io_writers,
-                    inflight,
+                    config.io_writers * 16 * config.page_size,
                     weak.clone(),
                     metrics.gauge(
                         "rexa_io_queue_depth",
@@ -385,6 +362,7 @@ impl BufferManager {
                     ..Accounting::default()
                 }),
                 temp,
+                _spill_dir: spill_dir,
                 queues: EvictionQueues::new(config.policy),
                 counters,
                 metrics,
@@ -412,11 +390,11 @@ impl BufferManager {
     }
 
     /// Attach a span collector for the duration of a traced query: the
-    /// background I/O workers record spill writes and read-ahead loads as
-    /// async spans into it. Only a [`Weak`] is kept — when the query's
-    /// collector is dropped the sink expires on its own, so there is no
-    /// mandatory detach step (and an untraced query pays one `Weak`
-    /// upgrade-failure per background job at most).
+    /// background I/O workers record spill writes as async spans into it.
+    /// Only a [`Weak`] is kept — when the query's collector is dropped the
+    /// sink expires on its own, so there is no mandatory detach step (and
+    /// an untraced query pays one `Weak` upgrade-failure per background job
+    /// at most).
     pub fn attach_spans(&self, spans: &Arc<SpanCollector>) {
         *self.span_sink.lock() = Arc::downgrade(spans);
     }
@@ -451,11 +429,7 @@ impl BufferManager {
         let _guard = self.evict_lock.lock();
         while self.memory_used() > self.memory_limit() {
             match self.evict_one() {
-                Ok(Some((buf, tag))) => {
-                    let freed = buf.len();
-                    drop(buf);
-                    self.accounting.lock().release(freed, cat_of(tag));
-                }
+                Ok(Some((buf, tag))) => self.free_victim(buf, tag),
                 // Nothing evictable, or a spill I/O error: stop. This path
                 // is best-effort; the next reservation retries eviction and
                 // is where failures are reported.
@@ -500,10 +474,7 @@ impl BufferManager {
             allocations: self.counters.allocations.get(),
             spill_retries: self.counters.spill_retries.get(),
             spill_failures: self.counters.spill_failures.get(),
-            readahead_hits: self.counters.readahead_hits.get(),
-            readahead_misses: self.counters.readahead_misses.get(),
             bg_write_nanos: self.counters.bg_write_nanos.get(),
-            readahead_nanos: self.counters.readahead_nanos.get(),
         }
     }
 
@@ -546,9 +517,7 @@ impl BufferManager {
                         self.accounting.lock().transfer(size, cat_of(tag), cat);
                         return Ok(Some(buf));
                     }
-                    let freed = buf.len();
-                    drop(buf);
-                    self.accounting.lock().release(freed, cat_of(tag));
+                    self.free_victim(buf, tag);
                 }
                 None => {
                     // Nothing evictable — but concurrent releases may have
@@ -633,99 +602,114 @@ impl BufferManager {
         }
     }
 
-    /// Evict one block: pop queue entries until a valid, unpinned, loaded
-    /// candidate is found; spill it if temporary; return its buffer and tag
-    /// with the bytes still accounted to the victim's category — the caller
-    /// must `transfer` (reuse) or `release` (free) them.
-    /// `Ok(None)` means nothing is evictable.
-    ///
-    /// A failed spill degrades gracefully: the candidate stays loaded, is
-    /// re-enqueued (so it becomes evictable again once the fault clears or
-    /// disk space frees up), and the error propagates to whichever
-    /// reservation needed the memory — that query fails; the manager and
-    /// every other block stay consistent.
-    fn evict_one(&self) -> Result<Option<(RawBuffer, BufferTag)>> {
+    /// Pop eviction-queue entries until one names a block that is still a
+    /// valid victim: alive, not re-pinned since it was queued, unpinned and
+    /// resident. The one candidate check every eviction path shares.
+    fn pop_victim(&self) -> Option<Arc<BlockHandle>> {
         while let Some(QueueEntry { block, seq }) = self.queues.pop() {
             let Some(handle) = block.upgrade() else {
                 continue; // block destroyed
             };
-            if handle.seq.load(Ordering::Acquire) != seq {
-                continue; // stale entry: block was re-pinned since enqueue
+            // A stale entry (the block was re-pinned since enqueue) is
+            // skipped; a pinned block's next unpin re-enqueues it. The
+            // unlocked pin check spares a wait on a block being loaded.
+            if handle.seq.load(Ordering::Acquire) == seq
+                && handle.pins.load(Ordering::Acquire) == 0
+                && is_evictable(&handle, &handle.state.lock())
+            {
+                return Some(handle);
             }
-            if handle.pins.load(Ordering::Acquire) != 0 {
-                continue; // pinned; its next unpin re-enqueues it
+        }
+        None
+    }
+
+    /// The one spill routine: if `handle` is still evictable, write it out
+    /// (temporaries to temp storage; persistent pages are free, the
+    /// database file has them), count the eviction, and swap its buffer for
+    /// the disk location. Returns the freed buffer with its bytes still
+    /// accounted to the victim's category — the caller releases them (or
+    /// hands them to a same-size allocation). `Ok(None)`: the block was
+    /// re-pinned or evicted since selection.
+    ///
+    /// The state lock is held across the write, so a concurrent pin blocks
+    /// until the block's fate is decided. A failed spill degrades
+    /// gracefully: the block stays loaded, is re-enqueued (so it becomes
+    /// evictable again once the fault clears or disk space frees up), and
+    /// the error goes back to the caller — inline to the reservation that
+    /// needed the memory, or deferred by the background writer.
+    fn spill(&self, handle: &Arc<BlockHandle>) -> Result<Option<RawBuffer>> {
+        let mut state = handle.state.lock();
+        if !is_evictable(handle, &state) {
+            return Ok(None);
+        }
+        let Residency::Loaded(buf) = &*state else {
+            unreachable!()
+        };
+        // SAFETY (both writes): unpinned and state-locked: no concurrent
+        // writer.
+        let spilled = match handle.tag {
+            BufferTag::Persistent => handle
+                .persistent_id()
+                .ok_or_else(|| Error::Internal("persistent block without id".into()))
+                .map(DiskLocation::Database),
+            BufferTag::TempFixed => self
+                .spill_with_retry(buf.len(), || self.temp.write_slot(unsafe { buf.slice() }))
+                .map(DiskLocation::TempSlot),
+            BufferTag::TempVariable => self
+                .spill_with_retry(buf.len(), || self.temp.write_var(unsafe { buf.slice() }))
+                .map(DiskLocation::TempVar),
+        };
+        let loc = match spilled {
+            Ok(loc) => loc,
+            Err(e) => {
+                drop(state);
+                self.queue_for_eviction(handle);
+                return Err(e);
             }
-            let mut state = handle.state.lock();
-            if handle.pins.load(Ordering::Acquire) != 0 {
-                continue; // raced with a pin
+        };
+        let temporary = handle.tag.is_temporary();
+        let counter = if temporary {
+            &self.counters.evictions_temporary
+        } else {
+            &self.counters.evictions_persistent
+        };
+        counter.incr();
+        if let Some(trace) = &self.trace {
+            if temporary {
+                trace.record(TraceEventKind::Spill {
+                    bytes: handle.size as u64,
+                });
             }
-            let Residency::Loaded(_) = &*state else {
-                continue; // already evicted
-            };
-            // Spill temporaries before releasing the buffer.
-            let spilled = match handle.tag {
-                BufferTag::Persistent => {
-                    // Free: the page is already in the database file.
-                    handle
-                        .persistent_id()
-                        .ok_or_else(|| Error::Internal("persistent block without id".into()))
-                        .map(DiskLocation::Database)
-                }
-                BufferTag::TempFixed => {
-                    let Residency::Loaded(buf) = &*state else {
-                        unreachable!()
-                    };
-                    // SAFETY: unpinned and state-locked: no concurrent writer.
-                    self.spill_with_retry(buf.len(), || {
-                        self.temp.write_slot(unsafe { buf.slice() })
-                    })
-                    .map(DiskLocation::TempSlot)
-                }
-                BufferTag::TempVariable => {
-                    let Residency::Loaded(buf) = &*state else {
-                        unreachable!()
-                    };
-                    // SAFETY: as above.
-                    self.spill_with_retry(buf.len(), || self.temp.write_var(unsafe { buf.slice() }))
-                        .map(DiskLocation::TempVar)
-                }
-            };
-            let loc = match spilled {
-                Ok(loc) => {
-                    let temporary = handle.tag.is_temporary();
-                    let counter = if temporary {
-                        &self.counters.evictions_temporary
-                    } else {
-                        &self.counters.evictions_persistent
-                    };
-                    counter.incr();
-                    if let Some(trace) = &self.trace {
-                        if temporary {
-                            trace.record(TraceEventKind::Spill {
-                                bytes: handle.size as u64,
-                            });
-                        }
-                        trace.record(TraceEventKind::Eviction {
-                            bytes: handle.size as u64,
-                            temporary,
-                        });
-                    }
-                    loc
-                }
-                Err(e) => {
-                    // The block keeps its buffer; make it evictable again
-                    // and report the failure to the starved reservation.
-                    drop(state);
-                    self.queue_for_eviction(&handle);
-                    return Err(e);
-                }
-            };
-            let old = std::mem::replace(&mut *state, Residency::OnDisk(loc));
-            drop(state);
-            let Residency::Loaded(buf) = old else {
-                unreachable!()
-            };
-            return Ok(Some((buf, handle.tag)));
+            trace.record(TraceEventKind::Eviction {
+                bytes: handle.size as u64,
+                temporary,
+            });
+        }
+        let Residency::Loaded(buf) = std::mem::replace(&mut *state, Residency::OnDisk(loc)) else {
+            unreachable!()
+        };
+        Ok(Some(buf))
+    }
+
+    /// Free an evicted buffer, then release its bytes from `tag`'s
+    /// category.
+    fn free_victim(&self, buf: RawBuffer, tag: BufferTag) {
+        let freed = buf.len();
+        drop(buf);
+        self.release_bytes(freed, cat_of(tag));
+    }
+
+    /// Evict one block synchronously: spill the first valid victim and
+    /// return its buffer and tag with the bytes still accounted to the
+    /// victim's category — the caller must `transfer` (reuse) or `release`
+    /// (free) them. `Ok(None)` means nothing is evictable; a spill error
+    /// propagates to whichever reservation needed the memory — that query
+    /// fails; the manager and every other block stay consistent.
+    fn evict_one(&self) -> Result<Option<(RawBuffer, BufferTag)>> {
+        while let Some(handle) = self.pop_victim() {
+            if let Some(buf) = self.spill(&handle)? {
+                return Ok(Some((buf, handle.tag)));
+            }
         }
         Ok(None)
     }
@@ -819,136 +803,46 @@ impl BufferManager {
     }
 
     /// Pop eviction candidates until one makes progress: persistent pages
-    /// are freed inline (no I/O), temporary pages are submitted to the
-    /// writer pool. Must be called under `evict_lock`.
+    /// are freed inline (no I/O to defer), temporary pages are submitted to
+    /// the writer pool. Must be called under `evict_lock`.
     fn submit_one_eviction(&self, sched: &IoScheduler) -> Result<EvictProgress> {
-        while let Some(QueueEntry { block, seq }) = self.queues.pop() {
-            let Some(handle) = block.upgrade() else {
-                continue;
-            };
-            if handle.seq.load(Ordering::Acquire) != seq {
-                continue;
-            }
-            if handle.pins.load(Ordering::Acquire) != 0 {
-                continue;
-            }
-            if handle.tag == BufferTag::Persistent {
-                // Free: the database file already has the page. Same inline
-                // transition as the synchronous path.
-                let mut state = handle.state.lock();
-                if handle.pins.load(Ordering::Acquire) != 0 {
-                    continue;
+        while let Some(handle) = self.pop_victim() {
+            if handle.tag.is_temporary() {
+                if sched.try_submit_write(Arc::clone(&handle)) {
+                    return Ok(EvictProgress::Submitted);
                 }
-                let Residency::Loaded(_) = &*state else {
-                    continue;
-                };
-                let id = handle
-                    .persistent_id()
-                    .ok_or_else(|| Error::Internal("persistent block without id".into()))?;
-                let old =
-                    std::mem::replace(&mut *state, Residency::OnDisk(DiskLocation::Database(id)));
-                drop(state);
-                self.counters.evictions_persistent.incr();
-                if let Some(trace) = &self.trace {
-                    trace.record(TraceEventKind::Eviction {
-                        bytes: handle.size as u64,
-                        temporary: false,
-                    });
-                }
-                let Residency::Loaded(buf) = old else {
-                    unreachable!()
-                };
-                let freed = buf.len();
-                drop(buf);
-                self.release_bytes(freed, MemCat::Persistent);
-                return Ok(EvictProgress::Freed);
-            }
-            if !matches!(&*handle.state.lock(), Residency::Loaded(_)) {
-                continue; // already spilled
-            }
-            if !sched.try_submit_write(Arc::clone(&handle)) {
                 // In-flight bound reached: hand the candidate back and let
                 // the caller wait for a completion instead of queueing more
                 // memory than the bound allows.
                 self.queue_for_eviction(&handle);
                 return Ok(EvictProgress::InflightFull);
             }
-            return Ok(EvictProgress::Submitted);
+            if let Some(buf) = self.spill(&handle)? {
+                self.free_victim(buf, handle.tag);
+                return Ok(EvictProgress::Freed);
+            }
         }
         Ok(EvictProgress::QueueEmpty)
     }
 
-    /// Background spill of one victim, run on an I/O worker thread. The
-    /// state lock is held across the write (exactly like the synchronous
-    /// path), so a concurrent pin blocks until the block's fate is decided.
-    /// Returns the error to defer, if the write failed.
+    /// Background spill of one victim, run on an I/O worker thread: the
+    /// synchronous [`spill`](Self::spill), except that the victim's bytes
+    /// leave the accounting only once the write is durably complete, and
+    /// a failure is returned for deferral to the next foreground
+    /// reservation (or drain) instead of failing one inline.
     pub(crate) fn bg_spill(&self, handle: &Arc<BlockHandle>) -> Option<Error> {
-        let mut state = handle.state.lock();
-        if handle.pins.load(Ordering::Acquire) != 0 {
-            return None; // re-pinned since selection; its next unpin re-enqueues
-        }
-        let Residency::Loaded(buf) = &*state else {
-            return None; // evicted by another path (e.g. set_memory_limit)
-        };
         let t0 = std::time::Instant::now();
-        let spilled = match handle.tag {
-            BufferTag::Persistent => handle
-                .persistent_id()
-                .ok_or_else(|| Error::Internal("persistent block without id".into()))
-                .map(DiskLocation::Database),
-            BufferTag::TempFixed => {
-                // SAFETY: unpinned and state-locked: no concurrent writer.
-                self.spill_with_retry(buf.len(), || self.temp.write_slot(unsafe { buf.slice() }))
-                    .map(DiskLocation::TempSlot)
-            }
-            BufferTag::TempVariable => {
-                // SAFETY: as above.
-                self.spill_with_retry(buf.len(), || self.temp.write_var(unsafe { buf.slice() }))
-                    .map(DiskLocation::TempVar)
-            }
-        };
+        let spilled = self.spill(handle);
         self.counters
             .bg_write_nanos
             .add(t0.elapsed().as_nanos() as u64);
         match spilled {
-            Ok(loc) => {
-                let temporary = handle.tag.is_temporary();
-                let counter = if temporary {
-                    &self.counters.evictions_temporary
-                } else {
-                    &self.counters.evictions_persistent
-                };
-                counter.incr();
-                if let Some(trace) = &self.trace {
-                    if temporary {
-                        trace.record(TraceEventKind::Spill {
-                            bytes: handle.size as u64,
-                        });
-                    }
-                    trace.record(TraceEventKind::Eviction {
-                        bytes: handle.size as u64,
-                        temporary,
-                    });
-                }
-                let old = std::mem::replace(&mut *state, Residency::OnDisk(loc));
-                drop(state);
-                let Residency::Loaded(buf) = old else {
-                    unreachable!()
-                };
-                let freed = buf.len();
-                drop(buf);
-                // Only now — the write is durably complete — does the
-                // victim's reservation leave the accounting.
-                self.release_bytes(freed, cat_of(handle.tag));
+            Ok(Some(buf)) => {
+                self.free_victim(buf, handle.tag);
                 None
             }
+            Ok(None) => None,
             Err(e) => {
-                // The block keeps its buffer and becomes evictable again;
-                // the typed error is deferred to the next foreground
-                // reservation (or drain), preserving the synchronous path's
-                // non-poisoning semantics.
-                drop(state);
-                self.queue_for_eviction(handle);
                 if let Some(trace) = &self.trace {
                     trace.record(TraceEventKind::Degradation {
                         detail: format!("background spill failed; error deferred: {e}"),
@@ -957,82 +851,6 @@ impl BufferManager {
                 Some(e)
             }
         }
-    }
-
-    /// Background read-ahead load of one spilled block, run on an I/O
-    /// worker thread. The caller ([`BufferManager::prefetch`]) already
-    /// admitted the bytes. Read failures are swallowed: read-ahead is
-    /// advisory, and the foreground pin re-issues the read synchronously
-    /// and surfaces the error itself.
-    pub(crate) fn bg_prefetch(&self, handle: &Arc<BlockHandle>) {
-        let cat = cat_of(handle.tag);
-        let mut state = handle.state.lock();
-        match &*state {
-            Residency::OnDisk(loc) => {
-                let buf = RawBuffer::alloc(handle.size);
-                let t0 = std::time::Instant::now();
-                // SAFETY: buffer not yet shared; exclusive during load.
-                let dst = unsafe { buf.slice_mut() };
-                let load = match loc {
-                    DiskLocation::Database(id) => match handle.db.as_ref() {
-                        Some((db, _)) => db.read_block(*id, dst),
-                        None => Err(Error::Internal("persistent block without file".into())),
-                    },
-                    DiskLocation::TempSlot(slot) => self.temp.read_slot(*slot, dst),
-                    DiskLocation::TempVar(var) => self.temp.read_var(*var, dst),
-                };
-                self.counters
-                    .readahead_nanos
-                    .add(t0.elapsed().as_nanos() as u64);
-                match load {
-                    Ok(()) => {
-                        *state = Residency::Loaded(buf);
-                        handle.prefetched.store(true, Ordering::Release);
-                        drop(state);
-                        // Loaded-but-unpinned: the block stays reclaimable
-                        // if memory pressure returns before the pin.
-                        self.queue_for_eviction(handle);
-                    }
-                    Err(_) => {
-                        drop(buf);
-                        drop(state);
-                        self.release_bytes(handle.size, cat);
-                        self.counters.readahead_misses.incr();
-                    }
-                }
-            }
-            _ => {
-                // Loaded meanwhile (raced with a foreground pin): give the
-                // reservation back; the resident copy is already paid for.
-                drop(state);
-                self.release_bytes(handle.size, cat);
-            }
-        }
-    }
-
-    /// Ask the I/O scheduler to load a spilled block back into
-    /// loaded-but-unpinned residency in the background, so a later pin is a
-    /// residency hit instead of a synchronous read.
-    ///
-    /// Read-ahead is strictly admission-bounded: it only proceeds when the
-    /// block's bytes fit under the limit *without* evicting anything —
-    /// prefetching must never steal working memory. Returns whether a load
-    /// was submitted. No-op (false) without an I/O scheduler
-    /// (`io_writers == 0`).
-    pub fn prefetch(&self, handle: &Arc<BlockHandle>) -> bool {
-        let Some(sched) = &self.io_sched else {
-            return false;
-        };
-        if handle.pins.load(Ordering::Acquire) != 0 || handle.is_loaded() {
-            return false;
-        }
-        let cat = cat_of(handle.tag);
-        if !self.accounting.lock().admit(handle.size, cat) {
-            self.counters.readahead_misses.incr();
-            return false;
-        }
-        sched.submit_read(Arc::clone(handle));
-        true
     }
 
     /// Wait for all background I/O to complete, then surface the first
@@ -1098,7 +916,6 @@ impl BufferManager {
             state: Mutex::new(Residency::Loaded(buf)),
             pins: AtomicUsize::new(1),
             seq: AtomicU64::new(0),
-            prefetched: AtomicBool::new(false),
             mgr: self.weak_self.clone(),
         });
         let guard = PinGuard {
@@ -1132,7 +949,6 @@ impl BufferManager {
             state: Mutex::new(Residency::OnDisk(DiskLocation::Database(id))),
             pins: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
-            prefetched: AtomicBool::new(false),
             mgr: self.weak_self.clone(),
         })
     }
@@ -1154,24 +970,11 @@ impl BufferManager {
         }
     }
 
-    /// Consume the handle's read-ahead marker, crediting a hit or a miss.
-    /// Cheap no-op when no scheduler is attached (the flag is never set).
-    fn note_readahead(&self, handle: &BlockHandle, hit: bool) {
-        if self.io_sched.is_some() && handle.prefetched.swap(false, Ordering::AcqRel) {
-            if hit {
-                self.counters.readahead_hits.incr();
-            } else {
-                self.counters.readahead_misses.incr();
-            }
-        }
-    }
-
     fn pin_inner(&self, handle: &Arc<BlockHandle>) -> Result<PinGuard> {
         // Fast path: already resident.
         {
             let state = handle.state.lock();
             if let Residency::Loaded(buf) = &*state {
-                self.note_readahead(handle, true);
                 return Ok(PinGuard {
                     handle: Arc::clone(handle),
                     ptr: buf.as_ptr(),
@@ -1187,7 +990,6 @@ impl BufferManager {
         match &*state {
             Residency::Loaded(buf) => {
                 // Another thread loaded it while we reserved: give back.
-                self.note_readahead(handle, true);
                 let ptr = buf.as_ptr();
                 match reused {
                     Some(buf) => {
@@ -1204,8 +1006,6 @@ impl BufferManager {
                 })
             }
             Residency::OnDisk(loc) => {
-                // Prefetched but evicted again before we got here: a miss.
-                self.note_readahead(handle, false);
                 let buf = reused.unwrap_or_else(|| RawBuffer::alloc(handle.size));
                 // SAFETY: buffer not yet shared; exclusive during load.
                 let dst = unsafe { buf.slice_mut() };
@@ -1256,6 +1056,19 @@ impl Drop for BufferManager {
         // longer upgrades), and the blocks they hold clean up on drop.
         if let Some(sched) = &self.io_sched {
             sched.shutdown_and_join();
+        }
+    }
+}
+
+/// The spill directory, if [`BufferManager::new`] created it: removed on
+/// drop (when empty), so a manager leaves nothing behind in the system temp
+/// dir. A directory the caller supplied that already existed is kept.
+struct CreatedDir(Option<PathBuf>);
+
+impl Drop for CreatedDir {
+    fn drop(&mut self) {
+        if let Some(dir) = &self.0 {
+            let _ = std::fs::remove_dir(dir);
         }
     }
 }
@@ -1432,7 +1245,7 @@ impl rexa_exec::MemoryGrant for ReservationGrant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rexa_storage::scratch_dir;
+    use rexa_storage::{scratch_dir, scratch_path};
 
     const PAGE: usize = 1024;
 
@@ -1441,7 +1254,7 @@ mod tests {
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
                 .policy(policy)
-                .temp_dir(scratch_dir("mgr").unwrap()),
+                .temp_dir(scratch_path("mgr")),
         )
         .unwrap()
     }
@@ -1475,7 +1288,46 @@ mod tests {
         let mgr = BufferManager::new(config).unwrap();
         assert!(default_dir.is_dir());
         drop(mgr);
-        std::fs::remove_dir_all(&default_dir).unwrap();
+        assert!(!default_dir.exists(), "the manager removes what it created");
+    }
+
+    #[test]
+    fn dropping_the_manager_leaves_no_spill_files_behind() {
+        // A directory the manager creates goes away with it, spill files
+        // included — even those of blocks that outlive the manager.
+        let dir = scratch_path("mgr-drop");
+        let mgr = BufferManager::new(
+            BufferManagerConfig::with_limit(2 * PAGE)
+                .page_size(PAGE)
+                .temp_dir(dir.clone()),
+        )
+        .unwrap();
+        let (fixed, p) = mgr.allocate_page().unwrap();
+        drop(p);
+        let (var, p) = mgr.allocate_variable(2 * PAGE).unwrap();
+        drop(p);
+        let (_h, _p) = mgr.allocate_page().unwrap(); // spills both
+        assert!(!fixed.is_loaded() && !var.is_loaded());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        drop(mgr);
+        assert!(!dir.exists(), "{dir:?} survived its manager");
+
+        // A caller-supplied directory that already existed is kept, but
+        // emptied of the manager's files.
+        let dir = scratch_dir("mgr-drop-existing").unwrap();
+        let mgr = BufferManager::new(
+            BufferManagerConfig::with_limit(PAGE)
+                .page_size(PAGE)
+                .temp_dir(dir.clone()),
+        )
+        .unwrap();
+        let (_h1, p) = mgr.allocate_page().unwrap();
+        drop(p);
+        let (_h2, _p2) = mgr.allocate_page().unwrap(); // spills h1
+        drop(mgr);
+        assert!(dir.is_dir());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
+        std::fs::remove_dir(&dir).unwrap();
     }
 
     #[test]
@@ -1787,7 +1639,7 @@ mod tests {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
-                .temp_dir(scratch_dir("mgrfault").unwrap())
+                .temp_dir(scratch_path("mgrfault"))
                 .io_backend(Arc::clone(injector) as Arc<dyn IoBackend>)
                 .spill_backoff(Duration::from_micros(100)),
         )
@@ -1872,7 +1724,7 @@ mod tests {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(PAGE)
                 .page_size(PAGE)
-                .temp_dir(scratch_dir("mgrfault").unwrap())
+                .temp_dir(scratch_path("mgrfault"))
                 .io_backend(inj as Arc<dyn IoBackend>)
                 .spill_retries(2)
                 .spill_backoff(Duration::from_micros(100)),
@@ -1894,7 +1746,7 @@ mod tests {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
-                .temp_dir(scratch_dir("mgr_async").unwrap())
+                .temp_dir(scratch_path("mgr_async"))
                 .io_writers(writers),
         )
         .unwrap()
@@ -1934,7 +1786,7 @@ mod tests {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(PAGE)
                 .page_size(PAGE)
-                .temp_dir(scratch_dir("mgr_async_fault").unwrap())
+                .temp_dir(scratch_path("mgr_async_fault"))
                 .io_backend(Arc::clone(&inj) as Arc<dyn IoBackend>)
                 .spill_backoff(Duration::from_micros(100))
                 .io_writers(1),
@@ -1966,46 +1818,6 @@ mod tests {
         assert!(!h1.is_loaded(), "h1 evicted after recovery");
         drop(p2);
         check(&mgr.pin(&h1).unwrap(), 0x5A);
-    }
-
-    #[test]
-    fn prefetch_loads_in_background_and_pin_is_a_hit() {
-        let mgr = async_mgr(2, 1);
-        let (h1, p1) = mgr.allocate_page().unwrap();
-        fill(&p1, 0x7E);
-        drop(p1);
-        // Force h1 out, then free the memory again.
-        let (h2, p2) = mgr.allocate_page().unwrap();
-        let (h3, p3) = mgr.allocate_page().unwrap();
-        mgr.drain_io().unwrap();
-        assert!(!h1.is_loaded());
-        drop((p2, p3, h2, h3));
-        assert!(mgr.prefetch(&h1), "headroom available: load submitted");
-        mgr.drain_io().unwrap();
-        assert!(h1.is_loaded(), "prefetch left the block resident");
-        let stats = mgr.stats();
-        assert_eq!(stats.readahead_hits, 0, "no pin yet");
-        assert!(stats.readahead_nanos > 0);
-        check(&mgr.pin(&h1).unwrap(), 0x7E);
-        let stats = mgr.stats();
-        assert_eq!(stats.readahead_hits, 1);
-        assert_eq!(stats.readahead_misses, 0);
-    }
-
-    #[test]
-    fn prefetch_never_evicts_working_memory() {
-        let mgr = async_mgr(2, 1);
-        let (h1, p1) = mgr.allocate_page().unwrap();
-        drop(p1);
-        let (_h2, _p2) = mgr.allocate_page().unwrap();
-        let (_h3, _p3) = mgr.allocate_page().unwrap();
-        mgr.drain_io().unwrap();
-        assert!(!h1.is_loaded());
-        // Memory is full of pinned pages: the prefetch must refuse rather
-        // than evict, and count a miss.
-        assert!(!mgr.prefetch(&h1));
-        assert_eq!(mgr.stats().readahead_misses, 1);
-        assert!(!h1.is_loaded());
     }
 
     #[test]

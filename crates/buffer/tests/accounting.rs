@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use rexa_buffer::{
     BlockHandle, BufferManager, BufferManagerConfig, EvictionPolicy, MemoryReservation, PinGuard,
 };
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
@@ -64,7 +64,7 @@ fn small_mgr(limit_pages: usize) -> Arc<BufferManager> {
         BufferManagerConfig::with_limit(limit_pages * PAGE)
             .page_size(PAGE)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("acct-reg").unwrap()),
+            .temp_dir(scratch_path("acct-reg")),
     )
     .unwrap()
 }
@@ -244,7 +244,7 @@ fn every_snapshot_is_consistent_with_writes_in_flight() {
         BufferManagerConfig::with_limit(8 * PAGE)
             .page_size(PAGE)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("acct-async").unwrap())
+            .temp_dir(scratch_path("acct-async"))
             .io_writers(2),
     )
     .unwrap();
@@ -252,8 +252,8 @@ fn every_snapshot_is_consistent_with_writes_in_flight() {
 
     std::thread::scope(|s| {
         // Mutators: churn pages through the tight pool so background spills
-        // are continuously in flight, re-pin spilled pages (foreground
-        // loads), and issue advisory prefetches (background loads).
+        // are continuously in flight, and re-pin spilled pages (foreground
+        // loads).
         for t in 0..3u32 {
             let mgr = Arc::clone(&mgr);
             let stop = &stop;
@@ -273,11 +273,6 @@ fn every_snapshot_is_consistent_with_writes_in_flight() {
                     if round % 3 == t % 3 {
                         if let Some(h) = handles.first() {
                             let _ = mgr.pin(h);
-                        }
-                    }
-                    if round % 5 == t % 5 {
-                        if let Some(h) = handles.last() {
-                            mgr.prefetch(h);
                         }
                     }
                 }
@@ -383,7 +378,7 @@ proptest! {
             BufferManagerConfig::with_limit(limit_pages * PAGE)
                 .page_size(PAGE)
                 .policy(EvictionPolicy::Mixed)
-                .temp_dir(scratch_dir("acct").unwrap()),
+                .temp_dir(scratch_path("acct")),
         ).unwrap();
         let mut blocks: Vec<Tracked> = Vec::new();
         let mut reservations: Vec<MemoryReservation> = Vec::new();

@@ -22,14 +22,14 @@ mod tests {
     use rexa_buffer::{BufferManager, BufferManagerConfig};
     use rexa_exec::pipeline::{CancelToken, CollectionSource};
     use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
-    use rexa_storage::scratch_dir;
+    use rexa_storage::scratch_path;
     use std::sync::Arc;
 
     fn mgr_with(limit: usize) -> Arc<BufferManager> {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("baseline").unwrap()),
+                .temp_dir(scratch_path("baseline")),
         )
         .unwrap()
     }

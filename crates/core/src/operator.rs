@@ -116,12 +116,6 @@ pub struct AggregateConfig {
     /// Hot-path implementation (vectorized by default; scalar oracle for
     /// differential testing and benchmarking).
     pub kernel_mode: KernelMode,
-    /// Partitions beyond the merge frontier whose spilled pages phase 2
-    /// prefetches in the background (0 disables read-ahead). Only effective
-    /// when the buffer manager runs background I/O workers
-    /// (`BufferManagerConfig::io_writers`); a synchronous manager ignores
-    /// prefetch requests.
-    pub readahead_depth: usize,
     /// Sorted-input handling for the in-stream fast path (see
     /// [`SortedInput`]). The phase-1 path a run actually took is recorded
     /// in the profile's `strategy` field.
@@ -139,7 +133,6 @@ impl Default for AggregateConfig {
             output_chunk_size: VECTOR_SIZE,
             reset_fill_percent: 66,
             kernel_mode: KernelMode::Vectorized,
-            readahead_depth: 2,
             sorted_input: SortedInput::Detect,
         }
     }
@@ -1137,22 +1130,14 @@ fn finalize_hash_dedup(
     Ok(live)
 }
 
-/// Phase-2 merge schedule: partition indices ordered by payload size,
-/// largest first (longest-processing-time-first). Radix partitioning over
+/// Phase-2 merge schedule: pick the next partition to merge from the ready
+/// list, largest payload first (longest-processing-time-first), applied
+/// incrementally as partitions become mergeable. Radix partitioning over
 /// skewed keys produces wildly uneven partitions; claiming the giants first
 /// keeps them off the tail of the schedule, where a straggler would run
-/// alone while every other worker idles. Ties break on the lower index so
-/// the schedule is deterministic.
-fn lpt_order(sizes: &[usize]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by(|&a, &b| sizes[b].cmp(&sizes[a]).then(a.cmp(&b)));
-    order
-}
-
-/// Pick the next partition to merge from the ready list: the same policy as
-/// [`lpt_order`], applied incrementally as partitions become mergeable.
-/// Returns the *position* within `ready` of the largest entry (ties to the
-/// lower partition index, keeping the schedule deterministic).
+/// alone while every other worker idles. Returns the *position* within
+/// `ready` of the largest entry (ties to the lower partition index, keeping
+/// the schedule deterministic).
 fn lpt_claim(ready: &[(usize, usize)]) -> Option<usize> {
     let mut best: Option<usize> = None;
     for (k, &(bytes, p)) in ready.iter().enumerate() {
@@ -1174,7 +1159,7 @@ fn lpt_claim(ready: &[(usize, usize)]) -> Option<usize> {
 /// Phase-1 → phase-2 handoff: instead of a hard barrier between the phases,
 /// every worker flushes its thread-local fragments partition by partition,
 /// and a partition whose *last* fragment lands becomes mergeable immediately
-/// — feeding the LPT/read-ahead merge schedule while slower workers are
+/// — feeding the LPT merge schedule while slower workers are
 /// still probing or flushing the rest.
 ///
 /// Built to survive the pool's saturation mode: [`ExecContext::run_units`]
@@ -1192,8 +1177,6 @@ struct PartitionHandoff {
     /// Mergeable partitions as `(payload bytes, partition index)`.
     ready: Mutex<Vec<(usize, usize)>>,
     ready_cv: Condvar,
-    /// Read-ahead marker per partition (first claimant warms it).
-    prefetched: Vec<AtomicBool>,
     /// A worker failed (error or panic): abandon all waiting.
     failed: AtomicBool,
     /// Worker bodies that have begun executing (see the type docs).
@@ -1228,7 +1211,6 @@ impl PartitionHandoff {
             pending: (0..partitions).map(|_| AtomicUsize::new(threads)).collect(),
             ready: Mutex::new(Vec::new()),
             ready_cv: Condvar::new(),
-            prefetched: (0..partitions).map(|_| AtomicBool::new(false)).collect(),
             failed: AtomicBool::new(false),
             started: AtomicUsize::new(0),
             probers: AtomicUsize::new(threads),
@@ -1346,8 +1328,8 @@ pub fn hash_aggregate_streaming_ctx(
     // Timeline tracing is strictly opt-in: with no collector on the
     // context, every span site below is a skipped `Option` check. With
     // one, the buffer manager's background I/O workers record into the
-    // same collector (via a weak sink), so spill/read-ahead overlap shows
-    // up on `io` tracks next to the compute tracks.
+    // same collector (via a weak sink), so spill-write overlap shows up on
+    // `io` tracks next to the compute tracks.
     let spans = ctx.spans().cloned();
     if let Some(sc) = &spans {
         mgr.attach_spans(sc);
@@ -1379,7 +1361,6 @@ pub fn hash_aggregate_streaming_ctx(
         collector.set_phase(Phase::Probe);
         collector.add_partitions(partitions as u64);
         let handoff = PartitionHandoff::new(mgr, &bound.layout, partitions, threads_n);
-        let depth = config.readahead_depth;
         let t0 = Instant::now();
         let t0_ns = cbuf.as_ref().map(|b| b.now_ns());
         // The unified worker body: probe morsels into thread-local state,
@@ -1550,24 +1531,6 @@ pub fn hash_aggregate_streaming_ctx(
                     );
                     b.now_ns()
                 });
-                // Read-ahead: warm the largest still-queued partitions so
-                // their spilled pages are resident by the time a worker
-                // claims them.
-                if depth > 0 {
-                    let snapshot: Vec<(usize, usize)> = handoff.ready.lock().clone();
-                    let sizes: Vec<usize> = snapshot.iter().map(|&(b, _)| b).collect();
-                    let mut warmed = 0usize;
-                    for pos in lpt_order(&sizes) {
-                        if warmed >= depth {
-                            break;
-                        }
-                        let pi = snapshot[pos].1;
-                        if !handoff.prefetched[pi].swap(true, Ordering::Relaxed) {
-                            handoff.slots[pi].lock().prefetch_all();
-                            warmed += 1;
-                        }
-                    }
-                }
                 let part = {
                     let mut slot = handoff.slots[p].lock();
                     std::mem::replace(
@@ -1634,7 +1597,7 @@ pub fn hash_aggregate_streaming_ctx(
         Ok((phase1, phase2, rows_in, resets))
     })();
 
-    // Wait out any in-flight background writes/reads: a deferred spill error
+    // Wait out any in-flight background writes: a deferred spill error
     // belongs to this query, and the stats delta below must not race active
     // I/O. The run's own error (if any) takes precedence.
     let t_drain_ns = cbuf.as_ref().map(|b| b.now_ns());
@@ -1649,18 +1612,12 @@ pub fn hash_aggregate_streaming_ctx(
     let stats_after = mgr.stats();
     let buffer = stats_after.delta_since(&stats_before);
     if let Some(mid) = &stats_mid {
-        // Background I/O that overlapped each phase: spill writes issued
-        // while the probe ran; writes plus read-ahead loads during the
-        // merge.
+        // Background spill writes that overlapped each phase's compute.
         let d1 = mid.delta_since(&stats_before);
         collector.set_phase_overlap(Phase::Probe, Duration::from_nanos(d1.bg_write_nanos));
         let d2 = stats_after.delta_since(mid);
-        collector.set_phase_overlap(
-            Phase::Merge,
-            Duration::from_nanos(d2.bg_write_nanos + d2.readahead_nanos),
-        );
+        collector.set_phase_overlap(Phase::Merge, Duration::from_nanos(d2.bg_write_nanos));
     }
-    collector.set_readahead(buffer.readahead_hits, buffer.readahead_misses);
     collector.set_phase(Phase::Finalize);
     collector.add_rows_in(rows_in as u64);
     collector.add_groups(groups as u64);
@@ -1738,14 +1695,14 @@ mod tests {
     use rexa_buffer::{BufferManagerConfig, EvictionPolicy};
     use rexa_exec::pipeline::CollectionSource;
     use rexa_exec::{ChunkCollection, Value};
-    use rexa_storage::scratch_dir;
+    use rexa_storage::scratch_path;
 
     fn mgr_with(limit: usize, page_size: usize) -> Arc<BufferManager> {
         BufferManager::new(
             BufferManagerConfig::with_limit(limit)
                 .page_size(page_size)
                 .policy(EvictionPolicy::Mixed)
-                .temp_dir(scratch_dir("agg").unwrap()),
+                .temp_dir(scratch_path("agg")),
         )
         .unwrap()
     }
@@ -1817,23 +1774,22 @@ mod tests {
     }
 
     #[test]
-    fn lpt_order_sorts_skewed_partitions_largest_first() {
+    fn lpt_claim_takes_skewed_partitions_largest_first() {
         // Zipf-ish partition payloads: one giant, a few mid-size, a long
         // tail of near-empty partitions (what radix partitioning produces
-        // over skewed keys).
+        // over skewed keys). Claiming and `swap_remove`-ing one at a time,
+        // as the merge loop does, must yield a largest-first schedule with
+        // ties broken on the lower index (0 before 5, 1 before 6) — even
+        // though `swap_remove` keeps reshuffling the ready list.
         let sizes = [4096, 0, 786_432, 64, 8_388_608, 4096, 0, 131_072];
-        let order = lpt_order(&sizes);
-        assert_eq!(order, vec![4, 2, 7, 0, 5, 3, 1, 6]);
-        // The schedule is a permutation, monotonically non-increasing in
-        // size, with ties broken on the lower index (0 before 5, 1 before 6).
-        for w in order.windows(2) {
-            assert!(sizes[w[0]] >= sizes[w[1]]);
-            if sizes[w[0]] == sizes[w[1]] {
-                assert!(w[0] < w[1]);
-            }
+        let mut ready: Vec<(usize, usize)> = sizes.iter().copied().zip(0..).collect();
+        let mut order = Vec::new();
+        while let Some(k) = lpt_claim(&ready) {
+            order.push(ready.swap_remove(k).1);
         }
-        assert!(lpt_order(&[]).is_empty());
-        assert_eq!(lpt_order(&[7]), vec![0]);
+        assert_eq!(order, vec![4, 2, 7, 0, 5, 3, 1, 6]);
+        assert_eq!(lpt_claim(&[]), None);
+        assert_eq!(lpt_claim(&[(7, 3)]), Some(0));
     }
 
     #[test]
@@ -1884,7 +1840,7 @@ mod tests {
             BufferManagerConfig::with_limit(coll.approx_bytes() / 2)
                 .page_size(4 << 10)
                 .policy(EvictionPolicy::Mixed)
-                .temp_dir(scratch_dir("aggfault").unwrap())
+                .temp_dir(scratch_path("aggfault"))
                 .io_backend(Arc::clone(&injector) as Arc<dyn IoBackend>),
         )
         .unwrap();
@@ -2519,22 +2475,17 @@ mod tests {
     }
 
     #[test]
-    fn async_io_with_readahead_is_correct_and_registers_hits() {
-        // The spill-heavy geometry, but through a manager with background
-        // I/O workers: eviction writes happen off the worker threads and
-        // phase 2 prefetches upcoming partitions. Results must still match
-        // the reference oracle exactly, read-ahead must convert at least one
-        // synchronous reload into a background hit, and the overlap the
-        // profile reports must be real (nonzero merge-phase overlap).
-        let coll = make_input(60_000, 60_000, 9);
-        let mgr = BufferManager::new(
-            BufferManagerConfig::with_limit(coll.approx_bytes() / 2)
-                .page_size(4 << 10)
-                .policy(EvictionPolicy::Mixed)
-                .temp_dir(scratch_dir("agg_async").unwrap())
-                .io_writers(2),
-        )
-        .unwrap();
+    fn async_write_behind_is_correct_and_writes_no_extra_bytes() {
+        // The spill-heavy geometry, once through a synchronous manager and
+        // once through one with background spill writers. Both must match
+        // the reference oracle exactly; the background writes must overlap
+        // the probe (nonzero probe-phase overlap); and writing behind must
+        // not inflate the spill volume — it only moves the writes off the
+        // compute threads, so the async run writes at most 10% more temp
+        // bytes than the synchronous one. The input is sized so the
+        // headroom write-behind keeps clean (`io_writers * 16` pages) is a
+        // small share of the ~6 MB spilled.
+        let coll = make_input(120_000, 120_000, 9);
         let plan = HashAggregatePlan {
             group_cols: vec![0, 2],
             aggregates: vec![AggregateSpec::count_star(), AggregateSpec::sum(1)],
@@ -2543,28 +2494,45 @@ mod tests {
             threads: 4,
             radix_bits: Some(5),
             ht_capacity: 4 * VECTOR_SIZE,
-            readahead_depth: 2,
             ..Default::default()
         };
-        let stats = check_against_reference(&coll, &plan, &config, &mgr);
-        let p = &stats.profile;
+        let run = |writers: usize| {
+            let mgr = BufferManager::new(
+                BufferManagerConfig::with_limit(coll.approx_bytes() / 2)
+                    .page_size(4 << 10)
+                    .policy(EvictionPolicy::Mixed)
+                    .temp_dir(scratch_path("agg_async"))
+                    .io_writers(writers),
+            )
+            .unwrap();
+            let stats = check_against_reference(&coll, &plan, &config, &mgr);
+            assert!(
+                stats.buffer.temp_bytes_written > 0,
+                "the run must have spilled: {:?}",
+                stats.buffer
+            );
+            // Everything the query touched is released again.
+            let s = mgr.stats();
+            assert_eq!(s.memory_used, 0, "accounting must return to zero: {s:?}");
+            assert_eq!(s.temp_bytes_on_disk, 0);
+            stats
+        };
+        let sync = run(0);
+        let async_ = run(2);
         assert!(
-            stats.buffer.temp_bytes_written > 0,
-            "the run must have spilled: {:?}",
-            stats.buffer
+            !async_.profile.phases[Phase::Probe.index()]
+                .overlap
+                .is_zero(),
+            "background writes during the probe must register as overlap"
+        );
+        let (sync_bytes, async_bytes) = (
+            sync.buffer.temp_bytes_written,
+            async_.buffer.temp_bytes_written,
         );
         assert!(
-            p.readahead_hits > 0,
-            "phase-2 read-ahead produced no hits: {p:?}"
+            async_bytes * 10 <= sync_bytes * 11,
+            "write-behind spilled {async_bytes} bytes vs {sync_bytes} synchronously"
         );
-        assert!(
-            !p.phases[Phase::Merge.index()].overlap.is_zero(),
-            "background reads during the merge must register as overlap"
-        );
-        // Everything the query touched is released again.
-        let s = mgr.stats();
-        assert_eq!(s.memory_used, 0, "accounting must return to zero: {s:?}");
-        assert_eq!(s.temp_bytes_on_disk, 0);
     }
 
     #[test]

@@ -158,13 +158,13 @@ mod tests {
     use super::*;
     use rexa_buffer::BufferManagerConfig;
     use rexa_exec::LogicalType;
-    use rexa_storage::scratch_dir;
+    use rexa_storage::scratch_path;
 
     fn setup(bits: u32) -> (Arc<BufferManager>, PartitionedTupleData) {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(usize::MAX)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("part").unwrap()),
+                .temp_dir(scratch_path("part")),
         )
         .unwrap();
         let layout = Arc::new(TupleDataLayout::new(vec![LogicalType::Int64], vec![]));

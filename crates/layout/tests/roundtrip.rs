@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_exec::{hashing, LogicalType, Value, Vector};
 use rexa_layout::{TupleDataCollection, TupleDataLayout};
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use std::sync::Arc;
 
 fn value_strategy(ty: LogicalType) -> BoxedStrategy<Value> {
@@ -94,7 +94,7 @@ proptest! {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(usize::MAX)
                 .page_size(page)
-                .temp_dir(scratch_dir("rt").unwrap()),
+                .temp_dir(scratch_path("rt")),
         ).unwrap();
         let layout = Arc::new(TupleDataLayout::new(case.types.clone(), vec![8]));
         prop_assume!(layout.row_width() <= page); // rows must fit a page

@@ -212,7 +212,7 @@ pub struct QueryOptions {
     /// records admission spans (queue wait, memory reservation) and SQL
     /// front-end spans, the operator records per-worker probe/flush/merge
     /// spans, and the buffer manager's I/O workers record background
-    /// spill/read-ahead spans. Export the merged timeline from
+    /// spill-write spans. Export the merged timeline from
     /// `QueryOutput::stats.profile.chrome_trace_json()`. `None` (the
     /// default) disables tracing at zero cost.
     pub spans: Option<Arc<SpanCollector>>,

@@ -3,7 +3,8 @@
 //! Fixed-size temporary pages are swapped in and out of one slotted temp
 //! file; freed slots are recycled so the file stays as small as the peak
 //! spilled working set. Variable-size buffers are each written to their own
-//! file, created on spill and deleted on load or destroy.
+//! file, created on spill and deleted on load or destroy. Dropping the
+//! manager deletes whatever spill files are left.
 //!
 //! All I/O goes through a pluggable [`IoBackend`], and every failure path
 //! leaves the manager consistent: a failed slot write returns the slot to
@@ -110,8 +111,8 @@ impl TempFileManager {
     /// device, bypassing the page cache. Spilled pages are re-read at most
     /// once, so caching them twice (buffer pool + page cache) wastes
     /// memory the limit is supposed to cap — and cache-absorbed spill I/O
-    /// hides the device latency that background spill writers and phase-2
-    /// read-ahead exist to overlap. Requires a page size that is a
+    /// hides the device latency that the background spill writers exist
+    /// to overlap. Requires a page size that is a
     /// multiple of 4 KiB (callers' buffers are page-aligned by
     /// construction); otherwise, and on filesystems that reject
     /// `O_DIRECT`, the manager silently stays buffered.
@@ -182,7 +183,7 @@ impl TempFileManager {
     /// observable apart from the write.)
     fn ensure_slotted_file<'a>(&self, inner: &'a mut SlottedFile) -> Result<&'a File> {
         if inner.file.is_none() {
-            let path = self.dir.join("rexa.tmp");
+            let path = self.slotted_path();
             let mut opts = OpenOptions::new();
             opts.read(true).write(true).create(true).truncate(true);
             if self.direct_io.load(Ordering::Relaxed) {
@@ -278,6 +279,10 @@ impl TempFileManager {
         self.bytes_on_disk.sub(self.page_size as i64);
     }
 
+    fn slotted_path(&self) -> PathBuf {
+        self.dir.join("rexa.tmp")
+    }
+
     fn var_path(&self, id: VarId) -> PathBuf {
         self.dir.join(format!("rexa-var-{id}.tmp"))
     }
@@ -325,6 +330,21 @@ impl TempFileManager {
         self.backend.remove(&self.var_path(id))?;
         self.bytes_on_disk.sub(size as i64);
         Ok(())
+    }
+}
+
+impl Drop for TempFileManager {
+    /// Delete the spill files this manager created: the slotted file and
+    /// every variable-size file still on disk (blocks that outlive their
+    /// manager can no longer be reloaded or freed). The directory itself is
+    /// left in place — it may be the caller's.
+    fn drop(&mut self) {
+        if self.slotted.get_mut().file.take().is_some() {
+            let _ = std::fs::remove_file(self.slotted_path());
+        }
+        for id in 0..*self.next_var.get_mut() {
+            let _ = std::fs::remove_file(self.var_path(id));
+        }
     }
 }
 
@@ -466,6 +486,24 @@ mod tests {
         assert_eq!(t.bytes_written(), 164);
         assert_eq!(t.bytes_read(), 64);
         assert_eq!(t.bytes_on_disk(), 100);
+    }
+
+    #[test]
+    fn drop_deletes_spill_files_but_keeps_the_directory() {
+        let dir = scratch_dir("tmpdrop").unwrap();
+        std::fs::write(dir.join("foreign"), b"x").unwrap();
+        let t = TempFileManager::new(dir.clone(), 64).unwrap();
+        t.write_slot(&[1u8; 64]).unwrap();
+        let live = t.write_var(&[2u8; 100]).unwrap();
+        let freed = t.write_var(&[3u8; 10]).unwrap();
+        t.free_var(freed, 10).unwrap();
+        assert!(t.var_path(live).exists());
+        drop(t);
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(left, ["foreign"], "spill files survived the drop");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! With `--trace-out PATH` the run records a span timeline and writes it as
 //! Chrome trace-event JSON — open it in Perfetto (<https://ui.perfetto.dev>)
-//! or `about://tracing` to see the background spill writes and phase-2
-//! read-ahead overlapping the probe and merge tracks.
+//! or `about://tracing` to see the background spill writes overlapping the
+//! probe and merge tracks. Phase 2 reloads spilled partitions synchronously
+//! on the merge workers.
 
 use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::baselines::in_memory_aggregate;
@@ -71,8 +72,8 @@ fn main() -> rexa_exec::Result<()> {
     );
     // Geometry note: phase 1 keeps threads x partitions x 2 pages pinned
     // (the partition write heads), so pages and partitions are sized to
-    // leave most of the limit for data. Two background I/O workers overlap
-    // the spill writes with the probe and serve phase-2 read-ahead.
+    // leave most of the limit for data. Two background spill writers
+    // overlap the eviction writes with the probe.
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(16 << 10)
@@ -89,7 +90,6 @@ fn main() -> rexa_exec::Result<()> {
         ht_capacity: 1 << 14,
         output_chunk_size: VECTOR_SIZE,
         reset_fill_percent: 66,
-        readahead_depth: 2, // prefetch the next two partitions during merge
         ..Default::default()
     };
 
@@ -123,7 +123,8 @@ fn main() -> rexa_exec::Result<()> {
 
     // The per-query execution profile, EXPLAIN ANALYZE style. CI greps this
     // report for nonzero spill_bytes_written to pin the spill path down and
-    // for nonzero readahead_hits to pin the phase-2 read-ahead down.
+    // for a nonzero io_overlap on the probe line to pin the background
+    // spill writes down.
     println!("\n{}", stats.profile.render());
 
     if let Some(path) = &trace_out {

@@ -25,7 +25,7 @@ use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggr
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::{ChunkCollection, DataChunk, Error, LogicalType, Value, VECTOR_SIZE};
 use rexa_obs::{EventTrace, MetricsRegistry, TraceEventKind};
-use rexa_storage::{scratch_dir, FaultInjector, FaultKind, FaultRule, IoBackend, IoOp, Schedule};
+use rexa_storage::{scratch_path, FaultInjector, FaultKind, FaultRule, IoBackend, IoOp, Schedule};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -206,7 +206,7 @@ fn chaos_mgr(
     BufferManager::new(
         BufferManagerConfig::with_limit(limit_kib << 10)
             .page_size(4 << 10)
-            .temp_dir(scratch_dir("chaos").unwrap())
+            .temp_dir(scratch_path("chaos"))
             .io_backend(Arc::clone(injector) as Arc<dyn IoBackend>)
             .metrics(Arc::clone(registry))
             .trace(trace.clone())

@@ -15,7 +15,7 @@ use rexa_core::{
 };
 use rexa_exec::pipeline::{CancelToken, CollectionSource};
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, VECTOR_SIZE};
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use rexa_storage::{FaultInjector, FaultKind, FaultRule, IoBackend, IoOp, Schedule};
 use std::sync::Arc;
 
@@ -186,7 +186,7 @@ proptest! {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(case.limit_kib << 10)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("prop").unwrap()),
+                .temp_dir(scratch_path("prop")),
         )
         .unwrap();
         let config = AggregateConfig {
@@ -250,7 +250,7 @@ proptest! {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(64 << 20)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("propk").unwrap()),
+                .temp_dir(scratch_path("propk")),
         )
         .unwrap();
         let run = |mode: KernelMode| {
@@ -286,7 +286,7 @@ proptest! {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(usize::MAX)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("prop2").unwrap()),
+                .temp_dir(scratch_path("prop2")),
         )
         .unwrap();
         // Force external runs for larger inputs by lowering the limit after
@@ -350,7 +350,7 @@ proptest! {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(64 << 20)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("instream-bits").unwrap()),
+                .temp_dir(scratch_path("instream-bits")),
         )
         .unwrap();
         let run = |sorted: SortedInput, mode: KernelMode| {
@@ -362,7 +362,6 @@ proptest! {
                 reset_fill_percent: 66,
                 kernel_mode: mode,
                 sorted_input: sorted,
-                ..Default::default()
             };
             let source = CollectionSource::new(&coll);
             let (out, stats) =
@@ -405,7 +404,7 @@ proptest! {
             let mgr = BufferManager::new(
                 BufferManagerConfig::with_limit(case.limit_kib << 10)
                     .page_size(4 << 10)
-                    .temp_dir(scratch_dir("instream-spill").unwrap()),
+                    .temp_dir(scratch_path("instream-spill")),
             )
             .unwrap();
             let config = AggregateConfig {
@@ -455,7 +454,7 @@ fn instream_spill_fault_leaves_no_residue_and_next_query_is_exact() {
     let mgr = BufferManager::new(
         BufferManagerConfig::with_limit(1536 << 10)
             .page_size(4 << 10)
-            .temp_dir(scratch_dir("instream-fault").unwrap())
+            .temp_dir(scratch_path("instream-fault"))
             .io_backend(Arc::clone(&injector) as Arc<dyn IoBackend>)
             .spill_backoff(std::time::Duration::from_micros(200)),
     )
@@ -565,7 +564,7 @@ proptest! {
         let oracle_mgr = BufferManager::new(
             BufferManagerConfig::with_limit(64 << 20)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("mt-oracle").unwrap()),
+                .temp_dir(scratch_path("mt-oracle")),
         )
         .unwrap();
         let source = CollectionSource::new(&coll);
@@ -577,7 +576,7 @@ proptest! {
             let mgr = BufferManager::new(
                 BufferManagerConfig::with_limit(case.limit_kib << 10)
                     .page_size(4 << 10)
-                    .temp_dir(scratch_dir("mt-sweep").unwrap()),
+                    .temp_dir(scratch_path("mt-sweep")),
             )
             .unwrap();
             let config = AggregateConfig {
@@ -635,7 +634,7 @@ fn operator_is_deterministic_under_odd_geometry() {
         let mgr = BufferManager::new(
             BufferManagerConfig::with_limit(case.limit_kib << 10)
                 .page_size(4 << 10)
-                .temp_dir(scratch_dir("det").unwrap()),
+                .temp_dir(scratch_path("det")),
         )
         .unwrap();
         let config = AggregateConfig {
@@ -695,7 +694,7 @@ fn same_seed_same_threads_is_deterministic_at_every_thread_count() {
             let mgr = BufferManager::new(
                 BufferManagerConfig::with_limit(case.limit_kib << 10)
                     .page_size(4 << 10)
-                    .temp_dir(scratch_dir("det-threads").unwrap()),
+                    .temp_dir(scratch_path("det-threads")),
             )
             .unwrap();
             let config = AggregateConfig {

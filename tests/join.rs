@@ -6,14 +6,14 @@ use rexa_buffer::{BufferManager, BufferManagerConfig};
 use rexa_core::{hash_join_collect, HashJoinPlan, JoinConfig};
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, Vector, VECTOR_SIZE};
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use std::sync::Arc;
 
 fn mgr(limit: usize, page: usize) -> Arc<BufferManager> {
     BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(page)
-            .temp_dir(scratch_dir("join").unwrap()),
+            .temp_dir(scratch_path("join")),
     )
     .unwrap()
 }

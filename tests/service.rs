@@ -9,7 +9,7 @@ use rexa_exec::{ChunkCollection, DataChunk, Error, LogicalType, Vector, VECTOR_S
 use rexa_service::{
     estimate_footprint, QueryInput, QueryOptions, QueryRequest, QueryService, ServiceConfig,
 };
-use rexa_storage::{scratch_dir, FaultInjector, FaultKind, FaultRule, IoBackend, IoOp, Schedule};
+use rexa_storage::{scratch_path, FaultInjector, FaultKind, FaultRule, IoBackend, IoOp, Schedule};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -21,7 +21,7 @@ fn mgr_with(limit: usize) -> Arc<BufferManager> {
         BufferManagerConfig::with_limit(limit)
             .page_size(PAGE)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("svc").unwrap()),
+            .temp_dir(scratch_path("svc")),
     )
     .unwrap()
 }
@@ -32,7 +32,7 @@ fn faulty_mgr_with(limit: usize, injector: &Arc<FaultInjector>) -> Arc<BufferMan
         BufferManagerConfig::with_limit(limit)
             .page_size(PAGE)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("svcfault").unwrap())
+            .temp_dir(scratch_path("svcfault"))
             .io_backend(Arc::clone(injector) as Arc<dyn IoBackend>)
             .spill_backoff(Duration::from_micros(200)),
     )

@@ -8,14 +8,14 @@ use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::VECTOR_SIZE;
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use std::sync::Arc;
 
 fn mgr(limit: usize) -> Arc<BufferManager> {
     BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(8 << 10)
-            .temp_dir(scratch_dir("skew").unwrap()),
+            .temp_dir(scratch_path("skew")),
     )
     .unwrap()
 }

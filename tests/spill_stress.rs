@@ -8,7 +8,7 @@ use rexa_core::simple::{reference_aggregate, sorted_rows};
 use rexa_core::{hash_aggregate_collect, AggregateConfig, AggregateSpec, HashAggregatePlan};
 use rexa_exec::pipeline::CollectionSource;
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Vector, VECTOR_SIZE};
-use rexa_storage::scratch_dir;
+use rexa_storage::{scratch_dir, scratch_path};
 use std::sync::Arc;
 
 fn high_cardinality_input(rows: i64, salt: i64) -> ChunkCollection {
@@ -36,7 +36,7 @@ fn mgr_with(limit: usize, page: usize) -> Arc<BufferManager> {
         BufferManagerConfig::with_limit(limit)
             .page_size(page)
             .policy(EvictionPolicy::Mixed)
-            .temp_dir(scratch_dir("stress").unwrap()),
+            .temp_dir(scratch_path("stress")),
     )
     .unwrap()
 }

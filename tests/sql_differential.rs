@@ -28,7 +28,7 @@ use rexa_exec::pool::ExecContext;
 use rexa_exec::{ChunkCollection, DataChunk, LogicalType, Value, VECTOR_SIZE};
 use rexa_service::{QueryInput, QueryOptions, QueryService, ServiceConfig};
 use rexa_sql::{Catalog, SqlError};
-use rexa_storage::scratch_dir;
+use rexa_storage::scratch_path;
 use rexa_tpch::{generate_lineitem, LineitemColumn};
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ fn test_manager(limit: usize) -> Arc<BufferManager> {
     BufferManager::new(
         BufferManagerConfig::with_limit(limit)
             .page_size(4 << 10)
-            .temp_dir(scratch_dir("sqldiff").unwrap()),
+            .temp_dir(scratch_path("sqldiff")),
     )
     .unwrap()
 }
